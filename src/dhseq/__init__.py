@@ -16,7 +16,6 @@ from .lincomp import (
     lincomp_bm,
     lincomp_gcd,
     lincomp_spectral,
-    sequence_polynomial,
 )
 from .numtheory import (
     CrtView,
@@ -87,6 +86,5 @@ __all__ = [
     "prime_power_classes",
     "primitive_root",
     "proper_divisors_gt1",
-    "sequence_polynomial",
     "validate_modulus",
 ]

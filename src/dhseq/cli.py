@@ -14,9 +14,9 @@ from pathlib import Path
 
 from . import gf2poly, lincomp, numtheory, sequence, theorems
 from .cyclotomy import VectorAssignment
-from .errors import DegreeCapExceeded, DHSeqError
+from .errors import DegreeCapExceeded, DHSeqError, MethodDisagreement
 from .numtheory import Modulus
-from .sequence import RawPeriod, delta
+from .sequence import delta
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -89,8 +89,7 @@ def cmd_generate(args) -> int:
 
 def _load_period(args):
     if args.sequence:
-        bits = sequence.parse_bit_line(Path(args.sequence).read_text())
-        return RawPeriod(bits)
+        return sequence.parse_bit_line(Path(args.sequence).read_text())
     if not args.factors:
         raise DHSeqError("either --sequence or --factors is required")
     modulus = numtheory.validate_modulus(parse_factors(args.factors))
@@ -108,8 +107,8 @@ def cmd_lincomp(args) -> int:
             results["gcd"] = lincomp.lincomp_gcd(seq).L
         else:
             try:
-                if seq.n % 2 == 0:
-                    raise DHSeqError("spectral method needs an odd period")
+                if seq.n % 2 == 0 or seq.n == 1:
+                    raise DHSeqError("spectral method needs an odd period > 1")
                 field = gf2poly.build_field(seq.n, args.degree_cap)
             except (DegreeCapExceeded, DHSeqError):
                 if args.method == "spectral":
@@ -217,18 +216,23 @@ def _cell(value) -> str:
 
 
 def survey_row(modulus: Modulus, assignment: VectorAssignment, degree_cap=None) -> SurveyRow:
-    """One survey measurement; raises on BM/GCD disagreement."""
+    """One survey measurement; raises MethodDisagreement when BM or the
+    spectral route disagrees with gcd."""
     seq = sequence.generate(modulus, assignment)
     l_bm = lincomp.lincomp_bm(seq).L
     l_gcd = lincomp.lincomp_gcd(seq).L
     if l_bm != l_gcd:
-        raise AssertionError(f"BM/GCD disagreement at n={modulus.n}: {l_bm} vs {l_gcd}")
+        raise MethodDisagreement(f"BM/GCD disagreement at n={modulus.n}: {l_bm} vs {l_gcd}")
     l_spec = None
     try:
         field = gf2poly.build_field(modulus.n, degree_cap)
         l_spec = lincomp.lincomp_spectral(seq, field).L
     except DegreeCapExceeded:
         pass
+    if l_spec is not None and l_spec != l_gcd:
+        raise MethodDisagreement(
+            f"spectral/GCD disagreement at n={modulus.n}: {l_spec} vs {l_gcd}"
+        )
     th1 = theorems.check_theorem1(modulus, assignment)
     predicted = None
     match = None
@@ -261,18 +265,14 @@ def cmd_survey(args) -> int:
     if args.max_n > args.cap:
         raise DHSeqError(f"--max-n {args.max_n} exceeds the survey cap {args.cap}")
     rows: list[SurveyRow] = []
-    try:
-        for modulus in numtheory.enumerate_valid_moduli(args.max_n):
-            if args.mode == "two-primes-11":
-                if modulus.t != 2 or any(e != 1 for _, e in modulus.factors):
-                    continue
-                assignment = VectorAssignment.all_ones_top(modulus)
-            else:
-                assignment = VectorAssignment.default(modulus)
-            rows.append(survey_row(modulus, assignment, args.degree_cap))
-    except AssertionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
+    for modulus in numtheory.enumerate_valid_moduli(args.max_n):
+        if args.mode == "two-primes-11":
+            if modulus.t != 2 or any(e != 1 for _, e in modulus.factors):
+                continue
+            assignment = VectorAssignment.all_ones_top(modulus)
+        else:
+            assignment = VectorAssignment.default(modulus)
+        rows.append(survey_row(modulus, assignment, args.degree_cap))
     rows.sort(key=lambda r: (r.n, r.factors))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -354,6 +354,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except MethodDisagreement as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
     except (DHSeqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,8 +1,8 @@
 """Order-2 cyclotomic classes and the two-class partition of Z_n.
 
-Classes exist in two forms at once: explicit sorted residue tuples for
-exhaustive desk-scale work, and a per-factor Euler-criterion membership
-predicate so sequences can be generated without materializing any class.
+Classes are explicit sorted residue tuples for exhaustive desk-scale work;
+sequence.generate builds the same partition from per-prime quadratic
+character tables without materializing any class.
 """
 
 from __future__ import annotations
@@ -45,18 +45,6 @@ def prime_power_classes(p: int, e: int, g: int) -> PrimePowerClasses:
         x = x * g2 % q
     d1 = tuple(sorted(g * y % q for y in d0))
     return PrimePowerClasses(q, tuple(sorted(d0)), d1)
-
-
-def residue_class(x: int, p: int, e: int) -> int:
-    """0 if the unit x is a square modulo p**e, 1 otherwise."""
-    q = p**e
-    phi = q // p * (p - 1)
-    r = pow(x % q, phi // 2, q)
-    if r == 1:
-        return 0
-    if r == q - 1:
-        return 1
-    raise ValueError(f"{x} is not a unit modulo {q}")
 
 
 def index_sets(a_d) -> tuple[frozenset, frozenset]:
@@ -117,15 +105,6 @@ def generalized_classes(factors, a_d, roots=None) -> ClassPair:
         (d1 if parity else d0).append(x)
     b = d1[0] * pow(d0[0], -1, d) % d
     return ClassPair(d, a_d, tuple(d0), tuple(d1), b)
-
-
-def class_index(x: int, factors, a_d) -> int:
-    """Class (0 or 1) of the unit x in Z_d* under the vector a_d."""
-    parity = 0
-    for (p, e), a in zip(factors, a_d):
-        if a:
-            parity ^= residue_class(x, p, e)
-    return parity
 
 
 def _unit_last(m: int) -> tuple[int, ...]:

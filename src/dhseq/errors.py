@@ -75,3 +75,11 @@ class OutsideCaseTable(DHSeqError):
             f"no closed-form complexity for ({p1}, {p2}): both primes must be 3 mod 4"
         )
         self.pair = (p1, p2)
+
+
+class MethodDisagreement(Exception):
+    """Two independent computations of the same quantity disagree.
+
+    A defect of this package rather than bad input, so deliberately not a
+    DHSeqError: the CLI reports it with its own exit code.
+    """

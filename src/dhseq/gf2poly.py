@@ -82,26 +82,6 @@ def powmod(a: int, k: int, m: int) -> int:
     return acc
 
 
-def from_bits(bits) -> int:
-    """Pack an iterable of 0/1 values, index i to coefficient of x^i."""
-    acc = 0
-    for i, b in enumerate(bits):
-        if b:
-            acc |= 1 << i
-    return acc
-
-
-def poly_str(a: int) -> str:
-    """Human-readable sum of powers, highest first."""
-    if a == 0:
-        return "0"
-    terms = []
-    for i in range(a.bit_length() - 1, -1, -1):
-        if (a >> i) & 1:
-            terms.append("1" if i == 0 else "x" if i == 1 else f"x^{i}")
-    return " + ".join(terms)
-
-
 def is_irreducible(f: int) -> bool:
     """Rabin's criterion: x^(2^m) = x mod f and, for every prime q | m,
     gcd(x^(2^(m/q)) - x, f) = 1."""
@@ -132,43 +112,38 @@ def smallest_irreducible(m: int) -> int:
     raise ArithmeticError(f"no irreducible polynomial of degree {m}")
 
 
-def berlekamp_massey(bits) -> int:
-    """Length of the shortest LFSR generating the given finite bit string.
+def berlekamp_massey(packed: int, length: int) -> int:
+    """Length of the shortest LFSR generating the first ``length`` bits of
+    ``packed`` (bit i is s_i).
 
     Incremental-discrepancy form: the running products of the sequence with
     both connection polynomials are updated by whole-integer shifts and xors,
     which big-int arithmetic makes far cheaper than per-bit convolution. For
     a periodic sequence, call this on two concatenated periods.
     """
-    bs = _coerce_bits(bits)
-    if not bs:
+    if length < 1:
         raise ValueError("empty bit string")
-    s = from_bits(bs)
-    sb = sc = s
-    length = 0
+    if packed < 0 or packed >> length:
+        raise ValueError(f"packed bits do not fit in length {length}")
+    sb = sc = packed
+    L = 0
     gap = 0
-    for i in range(len(bs)):
+    for i in range(length):
         disc = sc & (1 << gap)
         gap += 1
         if disc:
             sc >>= gap
             gap = 0
-            if 2 * length <= i:
+            if 2 * L <= i:
                 sb, sc = sc, sb
-                length = i + 1 - length
+                L = i + 1 - L
             sc ^= sb
-    return length
+    return L
 
 
-def _coerce_bits(bits) -> list[int]:
-    out = []
-    for b in bits:
-        if isinstance(b, str):
-            b = int(b)
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        out.append(b)
-    return out
+def exponents(a: int) -> list[int]:
+    """Exponents of the nonzero terms of a, ascending."""
+    return [i for i, c in enumerate(format(a, "b")[::-1]) if c == "1"]
 
 
 class BinaryField:

@@ -1,7 +1,7 @@
 """Linear complexity of a period by three independent methods.
 
-Any object with .bits and .n works as input, so raw periods read from disk
-get the same treatment as constructed sequences.
+Any object with .packed (bit i is s_i) and .n works as input, so raw
+periods read from disk get the same treatment as constructed sequences.
 """
 
 from __future__ import annotations
@@ -24,19 +24,15 @@ class LinComplexityResult:
     zero_set: frozenset | None = None
 
 
-def sequence_polynomial(seq) -> int:
-    """Indicator polynomial of the one-positions (bit i <-> coefficient of x^i)."""
-    return gf2poly.from_bits(seq.bits)
-
-
 def lincomp_bm(seq) -> LinComplexityResult:
     """Shortest-LFSR length, measured on two concatenated periods."""
-    return LinComplexityResult(gf2poly.berlekamp_massey(seq.bits * 2), BM)
+    n, s = seq.n, seq.packed
+    return LinComplexityResult(gf2poly.berlekamp_massey(s | s << n, 2 * n), BM)
 
 
 def lincomp_gcd(seq) -> LinComplexityResult:
     """n minus the number of period roots shared with x^n + 1."""
-    g = gf2poly.gcd(sequence_polynomial(seq), (1 << seq.n) | 1)
+    g = gf2poly.gcd(seq.packed, (1 << seq.n) | 1)
     zero_count = g.bit_length() - 1
     return LinComplexityResult(seq.n - zero_count, GCD, zero_count)
 
@@ -45,7 +41,7 @@ def spectral_values(seq, field: BinaryField) -> list[int]:
     """S(alpha^v) for v = 0..n-1."""
     if field.n != seq.n:
         raise ValueError(f"field is for n={field.n}, sequence has n={seq.n}")
-    ones = [i for i, b in enumerate(seq.bits) if b]
+    ones = gf2poly.exponents(seq.packed)
     table = field.alpha_powers()
     n = seq.n
     out = []

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import cyclotomy, lincomp, numtheory, sequence
+from . import cyclotomy, gf2poly, lincomp, numtheory, sequence
 from .cyclotomy import VectorAssignment
-from .errors import OutsideCaseTable
+from .errors import MethodDisagreement, OutsideCaseTable
 from .gf2poly import BinaryField
 from .numtheory import Modulus
 from .sequence import delta
@@ -139,7 +139,8 @@ def crt_split(modulus: Modulus, d: int) -> CrtSplitCoefficients:
     qs = tuple(p**l for p, l in facs)
     bs = tuple(pow(d // q, -1, q) for q in qs)
     n = modulus.n
-    assert sum(b * (n // q) for b, q in zip(bs, qs)) % n == n // d
+    if sum(b * (n // q) for b, q in zip(bs, qs)) % n != n // d:
+        raise MethodDisagreement(f"CRT split coefficients {bs} for d={d} miss n/d")
     return CrtSplitCoefficients(d, qs, bs)
 
 
@@ -202,7 +203,7 @@ def check_lemma4(modulus: Modulus, field: BinaryField) -> CheckVerdict:
     (p1, _), (p2, _) = modulus.factors
     seq = sequence.generate(modulus, VectorAssignment.all_ones_top(modulus))
     expected = 0 if p1 % 4 == 3 and p2 % 4 == 3 else 1
-    ones = [i for i, b in enumerate(seq.bits) if b]
+    ones = gf2poly.exponents(seq.packed)
     n = modulus.n
     for v in range(1, n):
         if math.gcd(v, n) != 1:

@@ -273,3 +273,95 @@ def test_parse_factors():
     assert cli.parse_factors("3,7") == [(3, 1), (7, 1)]
     with pytest.raises(Exception):
         cli.parse_factors("3:1,,7:1")
+
+
+@pytest.mark.parametrize("period, want", [("1", 1), ("0", 0)])
+def test_lincomp_all_on_one_bit_period_skips_spectral(tmp_path, capsys, period, want):
+    f = tmp_path / "one.txt"
+    f.write_text(period + "\n")
+    code, out, _ = run(capsys, "lincomp", "--sequence", str(f), "--method", "all")
+    assert code == 0
+    assert f"L[bm] = {want}" in out
+    assert f"L[gcd] = {want}" in out
+    assert "L[spectral] skipped: field unavailable" in out
+
+
+def test_lincomp_all_on_even_raw_period_skips_spectral(tmp_path, capsys):
+    f = tmp_path / "even.txt"
+    # S(x) = x + x^2 shares the single factor 1 + x with x^4 + 1 = (1 + x)^4
+    f.write_text("0110\n")
+    code, out, _ = run(capsys, "lincomp", "--sequence", str(f), "--method", "all")
+    assert code == 0
+    assert "L[bm] = 3" in out and "L[gcd] = 3" in out
+    assert "L[spectral] skipped: field unavailable" in out
+
+
+def test_lincomp_spectral_only_on_one_bit_period_is_input_error(tmp_path, capsys):
+    f = tmp_path / "one.txt"
+    f.write_text("1\n")
+    code, _, err = run(capsys, "lincomp", "--sequence", str(f), "--method", "spectral")
+    assert code == 2
+    assert "odd period" in err
+
+
+def test_generate_out_matches_per_index_oracle(tmp_path, capsys):
+    from dhseq.cyclotomy import VectorAssignment
+    from dhseq.numtheory import validate_modulus
+
+    from oracles import generate_by_index, to_bits
+
+    out_file = tmp_path / "seq.txt"
+    code, _, _ = run(
+        capsys, "generate", "--factors", "3:1,5:1,7:1", "--all-ones-top", "--out", str(out_file)
+    )
+    assert code == 0
+    m = validate_modulus([(3, 1), (5, 1), (7, 1)])
+    bits = to_bits(generate_by_index(m, VectorAssignment.all_ones_top(m)), m.n)
+    assert out_file.read_text() == "".join(map(str, bits)) + "\n"
+
+
+def _wrong_by_one(real):
+    def wrong(*args, **kwargs):
+        r = real(*args, **kwargs)
+        return type(r)(r.L + 1, r.method, r.zero_count, r.zero_set)
+
+    return wrong
+
+
+def test_survey_spectral_disagreement_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.lincomp, "lincomp_spectral", _wrong_by_one(cli.lincomp.lincomp_spectral))
+    out_csv = tmp_path / "s.csv"
+    code, _, err = run(
+        capsys, "survey", "--max-n", "30", "--mode", "default-all", "--out", str(out_csv)
+    )
+    assert code == 3
+    assert "spectral/GCD disagreement at n=3" in err
+    assert not out_csv.exists()
+
+
+def test_survey_bm_disagreement_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.lincomp, "lincomp_bm", _wrong_by_one(cli.lincomp.lincomp_bm))
+    out_csv = tmp_path / "s.csv"
+    code, _, err = run(
+        capsys, "survey", "--max-n", "30", "--mode", "two-primes-11", "--out", str(out_csv)
+    )
+    assert code == 3
+    assert "BM/GCD disagreement at n=15" in err
+
+
+def test_method_disagreement_is_not_an_input_error():
+    from dhseq.errors import DHSeqError, MethodDisagreement
+
+    assert not issubclass(MethodDisagreement, (DHSeqError, ValueError))
+
+
+def test_crt_split_check_survives_optimization(monkeypatch):
+    # the defining congruence is checked by an explicit raise, not an assert
+    from dhseq import theorems
+    from dhseq.errors import MethodDisagreement
+    from dhseq.numtheory import validate_modulus
+
+    m = validate_modulus([(3, 1), (7, 1)])
+    monkeypatch.setattr(theorems, "pow", lambda *args: 2, raising=False)
+    with pytest.raises(MethodDisagreement):
+        theorems.crt_split(m, 21)

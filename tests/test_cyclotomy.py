@@ -6,12 +6,10 @@ import pytest
 from dhseq import cyclotomy, numtheory
 from dhseq.cyclotomy import (
     VectorAssignment,
-    class_index,
     generalized_classes,
     global_partition,
     index_sets,
     prime_power_classes,
-    residue_class,
 )
 from dhseq.errors import (
     AssignmentFormatError,
@@ -22,6 +20,7 @@ from dhseq.errors import (
 from dhseq.numtheory import CrtView, crt_combine, validate_modulus
 
 from conftest import valid_moduli
+from oracles import class_index, residue_class
 
 
 def units(d):

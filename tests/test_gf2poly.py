@@ -9,7 +9,6 @@ from dhseq.gf2poly import (
     degree,
     divmod_,
     eval_poly,
-    from_bits,
     gcd,
     is_irreducible,
     mod,
@@ -17,6 +16,8 @@ from dhseq.gf2poly import (
     powmod,
     smallest_irreducible,
 )
+
+from oracles import from_bits
 
 
 # Oracle arithmetic on coefficient lists, independent of the bit tricks.
@@ -143,22 +144,25 @@ def test_smallest_irreducible_examples():
 
 
 def test_berlekamp_massey_examples():
-    assert berlekamp_massey("1111") == 1
-    assert berlekamp_massey("0101") == 2
+    assert berlekamp_massey(from_bits("1111"), 4) == 1
+    assert berlekamp_massey(from_bits("0101"), 4) == 2
     s = [0, 0, 0, 1] * 4
     assert brute_lfsr_length(s) == 4
-    assert berlekamp_massey(s) == 4
-    assert berlekamp_massey([0] * 8) == 0
+    assert berlekamp_massey(from_bits(s), len(s)) == 4
+    assert berlekamp_massey(0, 8) == 0
     with pytest.raises(ValueError):
-        berlekamp_massey("")
+        berlekamp_massey(0, 0)
+    # a set bit outside the stated length is not a bit string of that length
     with pytest.raises(ValueError):
-        berlekamp_massey([0, 2])
+        berlekamp_massey(0b100, 2)
+    with pytest.raises(ValueError):
+        berlekamp_massey(-1, 2)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=14))
 def test_berlekamp_massey_matches_exhaustive_search(bits):
-    assert berlekamp_massey(bits) == brute_lfsr_length(bits)
+    assert berlekamp_massey(from_bits(bits), len(bits)) == brute_lfsr_length(bits)
 
 
 def test_build_field_n3():

@@ -1,16 +1,16 @@
 from dhseq.cyclotomy import VectorAssignment, global_partition
-from dhseq.gf2poly import berlekamp_massey, build_field, eval_poly, from_bits
+from dhseq.gf2poly import berlekamp_massey, build_field, eval_poly
 from dhseq.lincomp import (
     lincomp_bm,
     lincomp_gcd,
     lincomp_spectral,
-    sequence_polynomial,
     spectral_values,
 )
 from dhseq.numtheory import order_of_two, validate_modulus
 from dhseq.sequence import RawPeriod, delta, generate
 
 from conftest import valid_moduli
+from oracles import from_bits
 
 
 def seq_for(factors, make=VectorAssignment.default):
@@ -20,12 +20,12 @@ def seq_for(factors, make=VectorAssignment.default):
 
 def test_sequence_polynomial_examples():
     s3 = seq_for([(3, 1)])
-    assert sequence_polynomial(s3) == 0b101  # 1 + x^2
+    assert s3.packed == 0b101  # 1 + x^2
     s9 = seq_for([(3, 2)])
-    assert sequence_polynomial(s9) == (1 | 1 << 2 | 1 << 5 | 1 << 6 | 1 << 8)
+    assert s9.packed == (1 | 1 << 2 | 1 << 5 | 1 << 6 | 1 << 8)
     for factors in ([(3, 1), (7, 1)], [(3, 1), (5, 1)]):
         s = seq_for(factors)
-        poly = sequence_polynomial(s)
+        poly = s.packed
         assert bin(poly).count("1") == (s.n + 1) // 2
         assert poly & 1 == 1  # 0 is always a one-position
 
@@ -35,7 +35,7 @@ def test_lincomp_bm_known_values():
     assert lincomp_bm(s21).L == 6
     s33 = seq_for([(3, 1), (11, 1)], VectorAssignment.all_ones_top)
     assert lincomp_bm(s33).L == 13
-    assert lincomp_bm(RawPeriod((1,) * 9)).L == 1
+    assert lincomp_bm(RawPeriod(from_bits((1,) * 9), 9)).L == 1
 
 
 def test_lincomp_gcd_known_values():
@@ -43,7 +43,7 @@ def test_lincomp_gcd_known_values():
     r = lincomp_gcd(s21)
     assert r.L == 6 and r.zero_count == 15
     # all-ones period: S(x) = (x^n + 1)/(x + 1) divides x^n + 1
-    r = lincomp_gcd(RawPeriod((1,) * 9))
+    r = lincomp_gcd(RawPeriod(from_bits((1,) * 9), 9))
     assert r.L == 1 and r.zero_count == 8
 
 
@@ -53,7 +53,7 @@ def test_lincomp_spectral_n3():
     r = lincomp_spectral(seq, build_field(3))
     assert r.zero_set == frozenset({0})  # only S(1) vanishes; delta(3) = 1
     assert r.L == 2
-    assert berlekamp_massey("101101") == 2
+    assert berlekamp_massey(from_bits("101101"), 6) == 2
 
 
 def test_zero_at_v0_iff_delta():
@@ -78,7 +78,7 @@ def test_spectral_values_match_horner():
     # same numbers through an entirely different evaluation path: Horner on S(x)
     seq = seq_for([(3, 1), (7, 1)])
     field = build_field(21)
-    poly = sequence_polynomial(seq)
+    poly = seq.packed
     values = spectral_values(seq, field)
     for v in range(21):
         assert values[v] == eval_poly(poly, field.alpha_power(v), field)
@@ -106,7 +106,7 @@ def test_bm_equals_gcd_blahut_form():
     # complexity from two periods equals n minus deg gcd(S, x^n + 1)
     for m in valid_moduli(60):
         seq = generate(m, VectorAssignment.default(m))
-        poly = sequence_polynomial(seq)
+        poly = seq.packed
         from dhseq.gf2poly import degree, gcd
 
         g = gcd(poly, (1 << m.n) | 1)

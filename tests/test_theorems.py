@@ -21,6 +21,7 @@ from dhseq.theorems import (
 )
 
 from conftest import valid_moduli
+from oracles import from_bits
 
 M21 = validate_modulus([(3, 1), (7, 1)])
 M9 = validate_modulus([(3, 2)])
@@ -78,7 +79,7 @@ def test_lemma2_even_sum_not_applicable():
 
 def test_lemma2_oracle_horner_n21():
     # independent route: Horner-evaluate the two lifted indicator polynomials
-    from dhseq.gf2poly import eval_poly, from_bits
+    from dhseq.gf2poly import eval_poly
     from dhseq.numtheory import combined_root
 
     field = build_field(21)
