@@ -22,12 +22,9 @@ from .numtheory import (
     Modulus,
     combined_root,
     crt_combine,
-    crt_view,
     enumerate_valid_moduli,
-    legendre,
     order_of_two,
     primitive_root,
-    proper_divisors_gt1,
     validate_modulus,
 )
 from .sequence import DHSequence, RawPeriod, delta, generate
@@ -70,14 +67,12 @@ __all__ = [
     "combined_root",
     "crt_combine",
     "crt_split",
-    "crt_view",
     "delta",
     "enumerate_valid_moduli",
     "generalized_classes",
     "generate",
     "global_partition",
     "index_sets",
-    "legendre",
     "lincomp_bm",
     "lincomp_gcd",
     "lincomp_spectral",
@@ -85,6 +80,5 @@ __all__ = [
     "predicted_L_two_primes",
     "prime_power_classes",
     "primitive_root",
-    "proper_divisors_gt1",
     "validate_modulus",
 ]

@@ -29,6 +29,15 @@ class GcdConditionViolated(DHSeqError):
         self.gcd_value = gcd_value
 
 
+class PeriodTooLarge(DHSeqError):
+    """The factors multiply to a period this package cannot materialize."""
+
+    def __init__(self, factors, bound: int):
+        listed = "*".join(f"{p}^{e}" for p, e in factors)
+        super().__init__(f"period {listed} is not below the supported bound {bound}")
+        self.bound = bound
+
+
 class NotPrimitiveRoot(DHSeqError):
     def __init__(self, g: int, modulus: int):
         super().__init__(f"{g} is not a primitive root modulo {modulus}")

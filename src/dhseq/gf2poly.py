@@ -46,19 +46,6 @@ def mod(a: int, b: int) -> int:
     return a
 
 
-def divmod_(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of a divided by b, for nonzero b."""
-    if b == 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = 0
-    db = b.bit_length() - 1
-    while a.bit_length() - 1 >= db:
-        shift = a.bit_length() - 1 - db
-        q ^= 1 << shift
-        a ^= b << shift
-    return q, a
-
-
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor (monic comes for free over GF(2))."""
     if a == 0 and b == 0:
@@ -149,8 +136,8 @@ def exponents(a: int) -> list[int]:
 class BinaryField:
     """GF(2^m) with a fixed n-th root of unity alpha; elements are ints < 2^m.
 
-    Immutable after construction; the power table for alpha is cached on
-    first use and shared by every evaluation.
+    Immutable after construction; the power table for alpha and the
+    H-orbits of Z_n are cached on first use and shared by every evaluation.
     """
 
     def __init__(self, n: int, m: int, modulus_poly: int, alpha: int):
@@ -159,6 +146,7 @@ class BinaryField:
         self.modulus_poly = modulus_poly
         self.alpha = alpha
         self._alpha_pow = None
+        self._orbits = None
 
     def mul(self, a: int, b: int) -> int:
         return mod(mul(a, b), self.modulus_poly)
@@ -175,8 +163,12 @@ class BinaryField:
             self._alpha_pow = tuple(out)
         return self._alpha_pow
 
-    def alpha_power(self, k: int) -> int:
-        return self.alpha_powers()[k % self.n]
+    def orbits(self) -> numtheory.HOrbits:
+        """The H-orbits of Z_n, on which every spectrum of a union of
+        orbits is constant."""
+        if self._orbits is None:
+            self._orbits = numtheory.h_orbits(self.n)
+        return self._orbits
 
     def subset_eval(self, exponents, v: int = 1) -> int:
         """Sum over the exponent set of alpha^(e*v)."""
@@ -186,17 +178,6 @@ class BinaryField:
         for e in exponents:
             acc ^= table[e * v % n]
         return acc
-
-
-def eval_poly(f: int, x: int, field: BinaryField) -> int:
-    """Horner evaluation of f at the field element x."""
-    d = degree(f)
-    if d is None:
-        return 0
-    acc = 0
-    for i in range(d, -1, -1):
-        acc = field.mul(acc, x) ^ ((f >> i) & 1)
-    return acc
 
 
 def build_field(n: int, degree_cap: int | None = None) -> BinaryField:

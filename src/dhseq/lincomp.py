@@ -1,4 +1,5 @@
-"""Linear complexity of a period by three independent methods.
+"""Linear complexity of a period by three independent methods, and the
+spectral engine that the spectral method and the lemma checks share.
 
 Any object with .packed (bit i is s_i) and .n works as input, so raw
 periods read from disk get the same treatment as constructed sequences.
@@ -6,6 +7,8 @@ periods read from disk get the same treatment as constructed sequences.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import gf2poly
@@ -37,20 +40,68 @@ def lincomp_gcd(seq) -> LinComplexityResult:
     return LinComplexityResult(seq.n - zero_count, GCD, zero_count)
 
 
+class Spectrum:
+    """S(alpha^v), the sum over an exponent set of alpha^(e*v), for every v
+    in Z_n, held as one value per orbit.
+
+    When the set is a union of H-orbits (reduced) the orbits are those of
+    BinaryField.orbits() and S is constant on each; otherwise every v is
+    its own orbit. Either way reps[k] is the least member of orbit k,
+    ascending, values[k] = S(alpha^reps[k]), and labels[v] is the orbit
+    of v. (A plain class: a dataclass here would cost a millisecond of
+    import time.)
+    """
+
+    __slots__ = ("reduced", "reps", "values", "labels")
+
+    def __init__(
+        self, reduced: bool, reps: Sequence[int], values: tuple[int, ...], labels: Sequence[int]
+    ):
+        self.reduced = reduced
+        self.reps = reps
+        self.values = values
+        self.labels = labels
+
+    def __getitem__(self, v: int) -> int:
+        return self.values[self.labels[v]]
+
+
+def spectrum(exps, field: BinaryField) -> Spectrum:
+    """Evaluate S(alpha^v) for a set of distinct exponents in [0, n).
+
+    The set is reduced only after an O(|exps|) check that it meets every
+    H-orbit in all or none of its members; otherwise all n values are
+    evaluated. field.subset_eval is called once per orbit.
+    """
+    orbits = field.orbits()
+    hits = Counter(map(orbits.labels.__getitem__, exps))
+    if all(orbits.sizes[k] == count for k, count in hits.items()):
+        reduced, reps, labels = True, orbits.reps, orbits.labels
+    else:
+        reduced, reps, labels = False, range(field.n), range(field.n)
+    values = tuple(field.subset_eval(exps, r) for r in reps)
+    return Spectrum(reduced, reps, values, labels)
+
+
+def common_reps(*spectra: Spectrum) -> Sequence[int]:
+    """The v a check over these spectra must visit, ascending.
+
+    A property of v built from reduced spectra (at v and at unit multiples
+    of v) is constant on H-orbits, so the orbit minima suffice, and the
+    first failing minimum is the first failing v. One spectrum that is not
+    reduced forces every v.
+    """
+    if all(s.reduced for s in spectra):
+        return spectra[0].reps
+    return range(len(spectra[0].labels))
+
+
 def spectral_values(seq, field: BinaryField) -> list[int]:
     """S(alpha^v) for v = 0..n-1."""
     if field.n != seq.n:
         raise ValueError(f"field is for n={field.n}, sequence has n={seq.n}")
-    ones = gf2poly.exponents(seq.packed)
-    table = field.alpha_powers()
-    n = seq.n
-    out = []
-    for v in range(n):
-        acc = 0
-        for i in ones:
-            acc ^= table[v * i % n]
-        out.append(acc)
-    return out
+    spec = spectrum(gf2poly.exponents(seq.packed), field)
+    return list(map(spec.values.__getitem__, spec.labels))
 
 
 def lincomp_spectral(seq, field: BinaryField) -> LinComplexityResult:

@@ -9,14 +9,20 @@ arrive factored; only totients and small survey inputs get factored here).
 from __future__ import annotations
 
 import math
+import struct
+import sys
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import EvenOrRepeatedPrime, GcdConditionViolated, NotPrime
+from .errors import EvenOrRepeatedPrime, GcdConditionViolated, NotPrime, PeriodTooLarge
 
 # Witness set proving primality for every integer below 3.3e24 (> 2**64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-SUPPORTED_BITS = 63
+# Periods are materialized as n bytes and n-entry tables, and the lemma
+# checks build classes by scanning Z_d, so n must stay far below memory.
+MAX_PERIOD = 1 << 24
 
 
 def is_prime(n: int) -> bool:
@@ -79,11 +85,6 @@ def _divisors_from_factors(factors) -> list[int]:
     return sorted(divs)
 
 
-def proper_divisors_gt1(n: int) -> list[int]:
-    """All divisors d > 1 of n (including n itself), ascending."""
-    return [d for d in _divisors_from_factors(factorize(n)) if d > 1]
-
-
 @dataclass(frozen=True)
 class Modulus:
     """A validated period n = p1^e1 * ... * pt^et; build via validate_modulus."""
@@ -128,11 +129,18 @@ def validate_modulus(factor_list) -> Modulus:
     factors = [(int(p), int(e)) for p, e in factor_list]
     if not factors:
         raise ValueError("factor list is empty")
+    n = 1
     for p, e in factors:
         if e < 1:
             raise ValueError(f"exponent for {p} must be >= 1, got {e}")
         if p <= 2 or p % 2 == 0:
             raise EvenOrRepeatedPrime(p)
+        # p >= 3, so this stops within log_3(MAX_PERIOD) steps however large e is
+        for _ in range(e):
+            n *= p
+            if n >= MAX_PERIOD:
+                raise PeriodTooLarge(factors, MAX_PERIOD)
+    for p, _ in factors:
         if not is_prime(p):
             raise NotPrime(p)
     factors.sort()
@@ -145,9 +153,6 @@ def validate_modulus(factor_list) -> Modulus:
             g = math.gcd(units[i], units[j])
             if g != 2:
                 raise GcdConditionViolated(factors[i][0], factors[j][0], g)
-    n = math.prod(p**e for p, e in factors)
-    if n >= 1 << SUPPORTED_BITS:
-        raise ValueError(f"n = {n} exceeds the supported range (< 2**{SUPPORTED_BITS})")
     return Modulus(tuple(factors), n)
 
 
@@ -156,10 +161,6 @@ class CrtView:
     """Residues of some x modulo each prime-power factor, ascending primes."""
 
     residues: tuple[int, ...]
-
-
-def crt_view(x: int, modulus: Modulus) -> CrtView:
-    return CrtView(tuple(x % q for q in modulus.prime_powers()))
 
 
 def crt_combine(view: CrtView, modulus: Modulus) -> int:
@@ -230,10 +231,64 @@ def order_of_two(n: int) -> int:
     return multiplicative_order(2, n)
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol of a modulo an odd prime p, via Euler's criterion."""
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+def nonsquare_table(p: int) -> bytes:
+    """chi_p: byte x is 1 when x is a nonsquare unit modulo p, else 0."""
+    table = bytearray(b"\x01") * p
+    table[0] = 0
+    for x in range(1, (p + 1) // 2):
+        table[x * x % p] = 0
+    return bytes(table)
+
+
+class HOrbits(NamedTuple):
+    """The orbits of Z_n under multiplication by H, the units that are
+    squares modulo every prime of n (n odd).
+
+    The orbit of v is fixed by g = gcd(v, n) and the quadratic characters
+    of the unit part v/g modulo the primes of d = n/g: there are
+    sum over d | n of 2^omega(d) orbits, of sizes phi(d)/2^omega(d).
+    Orbits are numbered by their least member, ascending.
+    """
+
+    labels: list[int]  # labels[v]: the number of the orbit of v
+    reps: tuple[int, ...]  # least member of each orbit, ascending
+    sizes: tuple[int, ...]
+
+
+def h_orbits(n: int) -> HOrbits:
+    """Label every v in Z_n with its H-orbit.
+
+    The divisor blocks (n/d)*Z_d are written at stride n/d in decreasing
+    order of d, as in sequence.generate, so every v keeps the label of its
+    own block. Within block d, x gets the block's first label plus the bits
+    chi_p(x mod p) << j over the primes p_j of d. Each block is built as
+    one int of machine words, one word per x, so the work runs at C speed.
+    """
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"H-orbits need an odd n >= 1, got {n}")
+    factors = factorize(n)
+    order = sys.byteorder
+    word = struct.calcsize("I")
+    zero, one = (c.to_bytes(word, order) for c in (0, 1))
+    chi = {p: b"".join([zero, one][c] for c in nonsquare_table(p)) for p, _ in factors}
+    labels = [0] * n
+    count = 1  # label 0 is v = 0
+    for d in reversed(_divisors_from_factors(factors)[1:]):
+        primes = [p for p, _ in factors if d % p == 0]
+        block = count * int.from_bytes(one * d, order)
+        for j, p in enumerate(primes):
+            block += int.from_bytes(chi[p] * (d // p), order) << j
+        labels[:: n // d] = memoryview(block.to_bytes(word * d, order)).cast("I")
+        count += 1 << len(primes)
+    labels[0] = 0
+    # renumber by least member: dict keys keep first-occurrence order
+    renumber = [0] * count
+    for k, label in enumerate(dict.fromkeys(labels)):
+        renumber[label] = k
+    labels = list(map(renumber.__getitem__, labels))
+    sizes = Counter(labels)
+    reps = tuple(labels.index(k) for k in range(count))
+    return HOrbits(labels, reps, tuple(sizes[k] for k in range(count)))
 
 
 def _odd_primes_upto(limit: int) -> list[int]:

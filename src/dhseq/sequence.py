@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomy import VectorAssignment
-from .numtheory import Modulus
+from .numtheory import Modulus, nonsquare_table
 
 _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -50,15 +50,6 @@ def delta(n: int) -> int:
     return 1 if n % 4 == 3 else 0
 
 
-def _nonsquare_table(p: int) -> bytes:
-    """chi_p: byte x is 1 when x is a nonsquare unit modulo p, else 0."""
-    table = bytearray(b"\x01") * p
-    table[0] = 0
-    for x in range(1, (p + 1) // 2):
-        table[x * x % p] = 0
-    return bytes(table)
-
-
 def generate(modulus: Modulus, assignment: VectorAssignment) -> DHSequence:
     """Materialize one period.
 
@@ -72,7 +63,7 @@ def generate(modulus: Modulus, assignment: VectorAssignment) -> DHSequence:
     smaller block d/gcd(x, d).
     """
     n = modulus.n
-    chi = {p: _nonsquare_table(p) for p, _ in modulus.factors}
+    chi = {p: nonsquare_table(p) for p, _ in modulus.factors}
     buf = bytearray(n)
     for d in sorted(modulus.divisors_gt1(), reverse=True):
         block = 0

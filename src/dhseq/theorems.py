@@ -16,7 +16,13 @@ from .cyclotomy import VectorAssignment
 from .errors import MethodDisagreement, OutsideCaseTable
 from .gf2poly import BinaryField
 from .numtheory import Modulus
-from .sequence import delta
+from .sequence import DHSequence, delta
+
+_EVEN_SUM = "a divisor vector has even coordinate sum"
+
+
+def _has_even_vector(modulus: Modulus, assignment: VectorAssignment) -> bool:
+    return any(sum(assignment.vector_for(d)) % 2 == 0 for d in modulus.divisors_gt1())
 
 
 @dataclass(frozen=True)
@@ -69,10 +75,10 @@ def check_lemma2(
     if {g * x % n for x in lifted1} != lifted0:
         return CheckVerdict(name, True, False, f"set form fails for d={d}")
     if field is not None:
-        exps0 = sorted(lifted0)
-        exps1 = sorted(lifted1)
-        for v in range(1, n):
-            if field.subset_eval(exps1, v * g % n) != field.subset_eval(exps0, v):
+        s0 = lincomp.spectrum(lifted0, field)
+        s1 = lincomp.spectrum(lifted1, field)
+        for v in lincomp.common_reps(s0, s1)[1:]:
+            if s1[v * g % n] != s0[v]:
                 return CheckVerdict(name, True, False, f"evaluation form fails at v={v}")
     return CheckVerdict(name, True, True)
 
@@ -84,20 +90,29 @@ def check_theorem1(
     the generated period must reach (n+1)/2 - delta. Given a field, the
     complementary spectrum pairing (values at v and g*v sum to 1) is
     verified as well."""
-    name = "theorem1"
-    if any(sum(assignment.vector_for(d)) % 2 == 0 for d in modulus.divisors_gt1()):
-        return CheckVerdict(name, False, None, "a divisor vector has even coordinate sum")
+    if _has_even_vector(modulus, assignment):
+        return CheckVerdict("theorem1", False, None, _EVEN_SUM)
     seq = sequence.generate(modulus, assignment)
+    return _theorem1_verdict(modulus, seq, lincomp.lincomp_gcd(seq).L, field)
+
+
+def _theorem1_verdict(
+    modulus: Modulus, seq: DHSequence, L: int, field: BinaryField | None
+) -> CheckVerdict:
+    """check_theorem1 on a period already generated, whose complexity L has
+    already been measured."""
+    name = "theorem1"
+    if _has_even_vector(modulus, seq.assignment):
+        return CheckVerdict(name, False, None, _EVEN_SUM)
     n = modulus.n
     bound = (n + 1) // 2 - delta(n)
-    L = lincomp.lincomp_gcd(seq).L
     if L < bound:
         return CheckVerdict(name, True, False, f"L={L} below bound {bound}")
     if field is not None:
-        values = lincomp.spectral_values(seq, field)
+        spec = lincomp.spectrum(gf2poly.exponents(seq.packed), field)
         g = numtheory.combined_root(modulus)
-        for v in range(1, n):
-            if values[v] ^ values[v * g % n] != 1:
+        for v in lincomp.common_reps(spec)[1:]:
+            if spec[v] ^ spec[v * g % n] != 1:
                 return CheckVerdict(name, True, False, f"pairing fails at v={v}")
     return CheckVerdict(name, True, True)
 
@@ -106,8 +121,8 @@ def check_corollary(modulus: Modulus, assignment: VectorAssignment) -> CheckVerd
     """When 2 generates every factor's unit group (so the combined root can
     be taken to be 2), the complexity must be exactly n - delta."""
     name = "corollary"
-    if any(sum(assignment.vector_for(d)) % 2 == 0 for d in modulus.divisors_gt1()):
-        return CheckVerdict(name, False, None, "a divisor vector has even coordinate sum")
+    if _has_even_vector(modulus, assignment):
+        return CheckVerdict(name, False, None, _EVEN_SUM)
     for p, e in modulus.factors:
         q = p**e
         if numtheory.multiplicative_order(2, q) != q // p * (p - 1):
@@ -158,7 +173,6 @@ def check_lemma3(
     facs = modulus.divisor_factorization(d)
     pair = cyclotomy.generalized_classes(facs, a_d)
     k = n // d
-    lhs_exps = [k * x % n for x in pair.d1]
     split = crt_split(modulus, d)
     _, i1 = cyclotomy.index_sets(a_d)
     factor_classes = [
@@ -168,28 +182,21 @@ def check_lemma3(
     beta_exps = [
         b * (n // q) % n for b, q in zip(split.coefficients, split.prime_powers)
     ]
-    table = field.alpha_powers()
-    for v in range(1, n):
-        lhs = 0
-        for e in lhs_exps:
-            lhs ^= table[e * v % n]
-        sums = []
-        for be, classes in zip(beta_exps, factor_classes):
-            base = be * v % n
-            s0 = 0
-            for c in classes.d0:
-                s0 ^= table[base * c % n]
-            s1 = 0
-            for c in classes.d1:
-                s1 ^= table[base * c % n]
-            sums.append((s0, s1))
+    lhs = lincomp.spectrum([k * x % n for x in pair.d1], field)
+    # factor_sums[j][b]: the class-b sum of factor j, as a spectrum in v
+    factor_sums = [
+        [lincomp.spectrum([be * c % n for c in cls], field) for cls in (fc.d0, fc.d1)]
+        for be, fc in zip(beta_exps, factor_classes)
+    ]
+    odd_tuples = sorted(i1)
+    for v in lincomp.common_reps(lhs, *(s for sums in factor_sums for s in sums))[1:]:
         rhs = 0
-        for tup in sorted(i1):
+        for tup in odd_tuples:
             term = 1
-            for bit, pairsum in zip(tup, sums):
-                term = field.mul(term, pairsum[bit])
+            for bit, sums in zip(tup, factor_sums):
+                term = field.mul(term, sums[bit][v])
             rhs ^= term
-        if lhs != rhs:
+        if lhs[v] != rhs:
             return CheckVerdict(name, True, False, f"mismatch at v={v}")
     return CheckVerdict(name, True, True)
 
@@ -203,12 +210,10 @@ def check_lemma4(modulus: Modulus, field: BinaryField) -> CheckVerdict:
     (p1, _), (p2, _) = modulus.factors
     seq = sequence.generate(modulus, VectorAssignment.all_ones_top(modulus))
     expected = 0 if p1 % 4 == 3 and p2 % 4 == 3 else 1
-    ones = gf2poly.exponents(seq.packed)
+    spec = lincomp.spectrum(gf2poly.exponents(seq.packed), field)
     n = modulus.n
-    for v in range(1, n):
-        if math.gcd(v, n) != 1:
-            continue
-        if field.subset_eval(ones, v) != expected:
+    for v in lincomp.common_reps(spec)[1:]:
+        if math.gcd(v, n) == 1 and spec[v] != expected:
             return CheckVerdict(name, True, False, f"S(alpha^{v}) != {expected}")
     return CheckVerdict(name, True, True)
 

@@ -365,3 +365,54 @@ def test_crt_split_check_survives_optimization(monkeypatch):
     monkeypatch.setattr(theorems, "pow", lambda *args: 2, raising=False)
     with pytest.raises(MethodDisagreement):
         theorems.crt_split(m, 21)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--factors", "2305843009213693951:1"),
+        ("verify", "--check", "lemma1", "--factors", "2305843009213693951:1"),
+        ("generate", "--factors", "3:1000000000"),
+    ],
+)
+def test_oversized_period_exits_2_before_allocating(capsys, argv):
+    # 2^61 - 1 is prime: it used to end in a MemoryError (generate) or a hang
+    # (lemma1); a huge exponent must not be multiplied out either
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "not below the supported bound" in err and "Traceback" not in err
+    assert peak < 1 << 20
+
+
+def test_survey_row_generates_and_measures_gcd_once(monkeypatch):
+    from collections import Counter
+
+    from dhseq import lincomp, sequence
+    from dhseq.cyclotomy import VectorAssignment
+    from dhseq.numtheory import validate_modulus
+
+    calls = Counter()
+
+    def counted(module, attr):
+        real = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counted(sequence, "generate")
+    counted(lincomp, "lincomp_gcd")
+    m = validate_modulus([(3, 1), (5, 1), (7, 1)])
+    row = cli.survey_row(m, VectorAssignment.default(m))
+    assert calls == {"generate": 1, "lincomp_gcd": 1}
+    assert row.theorem1_applicable and row.theorem1_holds

@@ -7,22 +7,21 @@ from dhseq import numtheory
 from dhseq.errors import EvenOrRepeatedPrime, GcdConditionViolated, NotPrime
 from dhseq.numtheory import (
     CrtView,
+    Modulus,
     carmichael,
     combined_root,
     crt_combine,
-    crt_view,
     enumerate_valid_moduli,
     factorize,
     is_prime,
-    legendre,
     multiplicative_order,
     order_of_two,
     primitive_root,
-    proper_divisors_gt1,
     validate_modulus,
 )
 
 from conftest import valid_moduli
+from oracles import crt_view, legendre
 
 
 # Brute-force oracles, deliberately independent of the implementation paths.
@@ -240,15 +239,19 @@ def test_multiplicative_order_rejects_nonunit():
         multiplicative_order(3, 9)
 
 
+def divisors_gt1(n: int) -> list[int]:
+    return Modulus(tuple(factorize(n)), n).divisors_gt1()
+
+
 def test_proper_divisors_examples():
-    assert proper_divisors_gt1(21) == [3, 7, 21]
-    assert proper_divisors_gt1(9) == [3, 9]
-    assert proper_divisors_gt1(105) == [3, 5, 7, 15, 21, 35, 105]
+    assert divisors_gt1(21) == [3, 7, 21]
+    assert divisors_gt1(9) == [3, 9]
+    assert divisors_gt1(105) == [3, 5, 7, 15, 21, 35, 105]
 
 
 def test_proper_divisors_against_scan():
     for n in range(2, 300):
-        assert proper_divisors_gt1(n) == brute_divisors(n)
+        assert divisors_gt1(n) == brute_divisors(n)
 
 
 def test_enumerate_valid_moduli_matches_bruteforce():
@@ -280,3 +283,14 @@ def test_modulus_divisor_factorization():
         m.divisor_factorization(7)
     with pytest.raises(ValueError):
         m.divisor_factorization(1)
+
+
+def test_validate_modulus_period_bound():
+    from dhseq.errors import DHSeqError, PeriodTooLarge
+
+    assert 3**15 < numtheory.MAX_PERIOD < 3**16
+    assert validate_modulus([(3, 15)]).n == 3**15
+    for factors in ([(3, 16)], [(3, 1), (7, 1), (2305843009213693951, 1)], [(3, 10**12)]):
+        with pytest.raises(PeriodTooLarge) as exc:
+            validate_modulus(factors)
+        assert isinstance(exc.value, DHSeqError)

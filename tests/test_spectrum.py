@@ -1,0 +1,242 @@
+"""The orbit-reduced spectral engine against the per-v sweeps it replaced."""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dhseq import cyclotomy, sequence
+from dhseq.cyclotomy import ClassPair, VectorAssignment
+from dhseq.gf2poly import build_field
+from dhseq.lincomp import (
+    common_reps,
+    lincomp_gcd,
+    lincomp_spectral,
+    spectral_values,
+    spectrum,
+)
+from dhseq.numtheory import factorize, h_orbits, order_of_two, validate_modulus
+from dhseq.sequence import DHSequence, RawPeriod, generate
+from dhseq.theorems import check_lemma2, check_lemma3, check_lemma4, check_theorem1
+
+from conftest import valid_moduli
+from oracles import (
+    lemma2_sweep,
+    lemma3_sweep,
+    lemma4_sweep,
+    spectral_values_sweep,
+    theorem1_sweep,
+)
+
+FIELD_MODULI = tuple(m for m in valid_moduli(300) if order_of_two(m.n) <= 64)
+
+
+def omega(d: int) -> int:
+    return len(factorize(d))
+
+
+def phi(d: int) -> int:
+    return sum(1 for x in range(1, d + 1) if math.gcd(x, d) == 1)
+
+
+def h_group(n: int) -> list[int]:
+    """Units of Z_n that are squares modulo every prime of n, by brute force."""
+    primes = [p for p, _ in factorize(n)]
+    squares = {p: {x * x % p for x in range(1, p)} for p in primes}
+    return [
+        u for u in range(1, n) if math.gcd(u, n) == 1 and all(u % p in squares[p] for p in primes)
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 9, 15, 21, 27, 45, 63, 105, 225, 231, 243, 255])
+def test_orbits_are_the_h_orbits(n):
+    # 45, 63, 225 and 255 are not valid periods: the orbits exist for any odd n
+    orbits = h_orbits(n)
+    h = h_group(n)
+    members = {}
+    for v, label in enumerate(orbits.labels):
+        members.setdefault(label, []).append(v)
+    assert sorted(members) == list(range(len(orbits.reps)))
+    for k, rep in enumerate(orbits.reps):
+        assert members[k] == sorted({u * rep % n for u in h} | {rep})
+        assert min(members[k]) == rep
+        assert orbits.sizes[k] == len(members[k])
+    assert list(orbits.reps) == sorted(orbits.reps)
+
+
+def test_orbit_count_and_sizes():
+    for m in valid_moduli(2000):
+        n = m.n
+        orbits = h_orbits(n)
+        divisors = [1] + m.divisors_gt1()
+        assert len(orbits.reps) == sum(2 ** omega(d) for d in divisors), n
+        if all(e == 1 for _, e in m.factors):
+            assert len(orbits.reps) == 3**m.t
+        for rep, size in zip(orbits.reps, orbits.sizes):
+            d = n // math.gcd(rep, n)
+            assert size == (phi(d) >> omega(d) if d > 1 else 1), (n, rep)
+        assert sum(orbits.sizes) == n
+
+
+def test_engine_matches_sweep_every_field_modulus():
+    for m in FIELD_MODULI:
+        field = build_field(m.n)
+        for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
+            seq = generate(m, make(m))
+            assert spectral_values(seq, field) == spectral_values_sweep(seq, field), m.n
+            exps = [i for i in range(m.n) if seq.packed >> i & 1]
+            assert spectrum(exps, field).reduced, m.n
+
+
+@st.composite
+def odd_sum_assignments(draw):
+    m = draw(st.sampled_from(FIELD_MODULI))
+    vectors = {}
+    for d in m.divisors_gt1():
+        width = len(m.divisor_factorization(d))
+        bits = draw(st.lists(st.integers(0, 1), min_size=width - 1, max_size=width - 1))
+        vectors[d] = tuple(bits) + (1 - sum(bits) % 2,)
+    return m, VectorAssignment(m, vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_sum_assignments())
+def test_engine_matches_sweep_random_odd_sum(case):
+    m, a = case
+    field = build_field(m.n)
+    seq = generate(m, a)
+    assert spectral_values(seq, field) == spectral_values_sweep(seq, field)
+    assert check_theorem1(m, a, field) == theorem1_sweep(m, a, field)
+
+
+def test_checks_match_sweeps_every_field_modulus():
+    for m in FIELD_MODULI:
+        field = build_field(m.n)
+        assert check_lemma4(m, field) == lemma4_sweep(m, field), m.n
+        for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
+            a = make(m)
+            assert check_theorem1(m, a, field) == theorem1_sweep(m, a, field), m.n
+            for d in m.divisors_gt1():
+                assert check_lemma2(m, a, d, field) == lemma2_sweep(m, a, d, field)
+                assert check_lemma3(m, a, d, field) == lemma3_sweep(m, a, d, field)
+
+
+def flipped(seq: DHSequence, positions) -> DHSequence:
+    packed = seq.packed
+    for i in positions:
+        packed ^= 1 << i
+    return DHSequence(seq.modulus, seq.assignment, packed)
+
+
+def test_raw_period_off_the_orbits_takes_full_sweep():
+    for factors, i in (([(3, 1), (5, 1), (7, 1)], 4), ([(3, 1), (7, 1)], 1), ([(3, 2)], 5)):
+        m = validate_modulus(factors)
+        field = build_field(m.n)
+        seq = generate(m, VectorAssignment.default(m))
+        raw = RawPeriod(seq.packed ^ 1 << i, m.n)
+        exps = [j for j in range(m.n) if raw.packed >> j & 1]
+        spec = spectrum(exps, field)
+        assert not spec.reduced
+        assert list(spec.reps) == list(range(m.n))
+        assert spectral_values(raw, field) == spectral_values_sweep(raw, field)
+        assert lincomp_spectral(raw, field).L == lincomp_gcd(raw).L
+
+
+def test_common_reps_needs_every_spectrum_reduced():
+    field = build_field(21)
+    orbit = spectrum([0], field)  # {0} is an orbit
+    off = spectrum([1], field)  # {1} is not
+    assert orbit.reduced and not off.reduced
+    assert common_reps(orbit) == field.orbits().reps
+    for spectra in ((orbit, off), (off, orbit)):
+        assert list(common_reps(*spectra)) == list(range(21))
+
+
+# --- a failure is never hidden ------------------------------------------------
+
+M105 = validate_modulus([(3, 1), (5, 1), (7, 1)])
+M33 = validate_modulus([(3, 1), (11, 1)])
+M35 = validate_modulus([(5, 1), (7, 1)])
+
+
+def orbit_of(n: int, v: int) -> list[int]:
+    labels = h_orbits(n).labels
+    return [w for w in range(n) if labels[w] == labels[v]]
+
+
+def patch_generate(monkeypatch, positions_for):
+    real = sequence.generate
+
+    def tampered(modulus, assignment):
+        seq = real(modulus, assignment)
+        return flipped(seq, positions_for(modulus.n))
+
+    monkeypatch.setattr(sequence, "generate", tampered)
+
+
+def test_flipped_period_fails_theorem1_and_lemma4_like_the_sweep(monkeypatch):
+    # every single nonzero bit (off the orbits: full sweep) and every nonzero
+    # orbit (still a union of orbits: representatives only)
+    for m in (M105, M33, M35):
+        field = build_field(m.n)
+        a = VectorAssignment.default(m)
+        flips = [[i] for i in range(1, m.n)]
+        flips += [orbit_of(m.n, rep) for rep in h_orbits(m.n).reps[1:]]
+        for positions in flips:
+            patch_generate(monkeypatch, lambda n: positions)
+            got = check_theorem1(m, a, field)
+            assert got == theorem1_sweep(m, a, field), (m.n, positions)
+            assert got.applicable and got.holds is False, (m.n, positions)
+            if m.t == 2:
+                got = check_lemma4(m, field)
+                assert got == lemma4_sweep(m, field), (m.n, positions)
+                assert got.holds is False, (m.n, positions)
+            monkeypatch.undo()
+
+
+def test_flipped_orbit_reports_pairing_witness_through_reduced_spectra(monkeypatch):
+    # flipping a whole orbit keeps the period a union of orbits, so the
+    # check runs on representatives only and must still name the first v
+    patch_generate(monkeypatch, lambda n: orbit_of(n, 5))
+    m = M105
+    field = build_field(m.n)
+    a = VectorAssignment.default(m)
+    seq = sequence.generate(m, a)
+    assert spectrum([i for i in range(m.n) if seq.packed >> i & 1], field).reduced
+    got = check_theorem1(m, a, field)
+    assert got == theorem1_sweep(m, a, field)
+    assert got.witness.startswith("pairing fails at v=")
+
+
+def swap_first(pair: ClassPair) -> ClassPair:
+    """Move one unit from each class to the other: no longer a union of orbits."""
+    d0 = sorted(pair.d0[1:] + pair.d1[:1])
+    d1 = sorted(pair.d1[1:] + pair.d0[:1])
+    return ClassPair(pair.d, pair.a_d, tuple(d0), tuple(d1), pair.coset_rep)
+
+
+def swap_all(pair: ClassPair) -> ClassPair:
+    """Exchange the two classes: still unions of orbits."""
+    return ClassPair(pair.d, pair.a_d, pair.d1, pair.d0, pair.coset_rep)
+
+
+@pytest.mark.parametrize("tamper", [swap_first, swap_all])
+@pytest.mark.parametrize("m", [M105, M33], ids=["105", "33"])
+def test_tampered_class_fails_lemma2_and_lemma3_like_the_sweep(monkeypatch, m, tamper):
+    real = cyclotomy.generalized_classes
+    target = m.n
+
+    def tampered(factors, a_d, roots=None):
+        pair = real(factors, a_d, roots)
+        return tamper(pair) if pair.d == target else pair
+
+    monkeypatch.setattr(cyclotomy, "generalized_classes", tampered)
+    field = build_field(m.n)
+    a = VectorAssignment.default(m)
+    got3 = check_lemma3(m, a, target, field)
+    assert got3 == lemma3_sweep(m, a, target, field)
+    assert got3.holds is False and got3.witness.startswith("mismatch at v=")
+    got2 = check_lemma2(m, a, target, field)
+    assert got2 == lemma2_sweep(m, a, target, field)
+    if tamper is swap_first:
+        assert got2.holds is False

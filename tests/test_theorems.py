@@ -7,7 +7,7 @@ from dhseq.cyclotomy import VectorAssignment, generalized_classes
 from dhseq.errors import GcdConditionViolated, OutsideCaseTable
 from dhseq.gf2poly import build_field
 from dhseq.lincomp import lincomp_bm, spectral_values
-from dhseq.numtheory import legendre, order_of_two, validate_modulus
+from dhseq.numtheory import order_of_two, validate_modulus
 from dhseq.sequence import delta, generate
 from dhseq.theorems import (
     check_corollary,
@@ -21,7 +21,7 @@ from dhseq.theorems import (
 )
 
 from conftest import valid_moduli
-from oracles import from_bits
+from oracles import alpha_power, eval_poly, from_bits, legendre
 
 M21 = validate_modulus([(3, 1), (7, 1)])
 M9 = validate_modulus([(3, 2)])
@@ -79,7 +79,6 @@ def test_lemma2_even_sum_not_applicable():
 
 def test_lemma2_oracle_horner_n21():
     # independent route: Horner-evaluate the two lifted indicator polynomials
-    from dhseq.gf2poly import eval_poly
     from dhseq.numtheory import combined_root
 
     field = build_field(21)
@@ -90,8 +89,8 @@ def test_lemma2_oracle_horner_n21():
     p0 = from_bits([1 if i in {k * x % 21 for x in pair.d0} else 0 for i in range(21)])
     g = combined_root(M21)
     for v in range(1, 21):
-        lhs = eval_poly(p1, field.alpha_power(v * g), field)
-        rhs = eval_poly(p0, field.alpha_power(v), field)
+        lhs = eval_poly(p1, alpha_power(field, v * g), field)
+        rhs = eval_poly(p0, alpha_power(field, v), field)
         assert lhs == rhs
 
 
