@@ -1,14 +1,6 @@
 """Generalized cyclotomic binary sequences and their linear complexity."""
 
-from .cyclotomy import (
-    ClassPair,
-    PrimePowerClasses,
-    VectorAssignment,
-    generalized_classes,
-    global_partition,
-    index_sets,
-    prime_power_classes,
-)
+from .cyclotomy import VectorAssignment, generalized_classes, index_sets
 from .errors import DHSeqError
 from .gf2poly import BinaryField, berlekamp_massey, build_field
 from .lincomp import (
@@ -46,14 +38,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryField",
     "CheckVerdict",
-    "ClassPair",
     "CrtSplitCoefficients",
     "CrtView",
     "DHSeqError",
     "DHSequence",
     "LinComplexityResult",
     "Modulus",
-    "PrimePowerClasses",
     "RawPeriod",
     "VectorAssignment",
     "berlekamp_massey",
@@ -71,14 +61,12 @@ __all__ = [
     "enumerate_valid_moduli",
     "generalized_classes",
     "generate",
-    "global_partition",
     "index_sets",
     "lincomp_bm",
     "lincomp_gcd",
     "lincomp_spectral",
     "order_of_two",
     "predicted_L_two_primes",
-    "prime_power_classes",
     "primitive_root",
     "validate_modulus",
 ]

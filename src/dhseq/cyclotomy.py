@@ -1,50 +1,21 @@
-"""Order-2 cyclotomic classes and the two-class partition of Z_n.
+"""Order-2 cyclotomic classes of each divisor and the vectors that pick them.
 
-Classes are explicit sorted residue tuples for exhaustive desk-scale work;
-sequence.generate builds the same partition from per-prime quadratic
-character tables without materializing any class.
+Every class is decided by the per-prime quadratic character tables chi_p
+(numtheory.nonsquare_table) through class_pattern: sequence.generate writes
+the patterns straight into the period, and generalized_classes splits one
+into explicit sorted residue tuples for the lemma checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product
+from functools import reduce
+from itertools import compress, product
+from operator import and_
 
 from . import numtheory
-from .errors import (
-    AssignmentFormatError,
-    MissingDivisorVector,
-    NotPrimitiveRoot,
-    ZeroVector,
-)
+from .errors import AssignmentFormatError, MissingDivisorVector, ZeroVector
 from .numtheory import Modulus
-
-
-@dataclass(frozen=True)
-class PrimePowerClasses:
-    """Squares subgroup d0 of Z_{p^e}* and its nonsquare coset d1 = g*d0."""
-
-    prime_power: int
-    d0: tuple[int, ...]
-    d1: tuple[int, ...]
-
-
-def prime_power_classes(p: int, e: int, g: int) -> PrimePowerClasses:
-    """Split Z_{p^e}* into the subgroup generated by g^2 and its coset."""
-    q = p**e
-    phi = q // p * (p - 1)
-    g %= q
-    if g % p == 0 or numtheory.multiplicative_order(g, q) != phi:
-        raise NotPrimitiveRoot(g, q)
-    g2 = g * g % q
-    d0 = []
-    x = 1
-    for _ in range(phi // 2):
-        d0.append(x)
-        x = x * g2 % q
-    d1 = tuple(sorted(g * y % q for y in d0))
-    return PrimePowerClasses(q, tuple(sorted(d0)), d1)
 
 
 def index_sets(a_d) -> tuple[frozenset, frozenset]:
@@ -59,52 +30,44 @@ def index_sets(a_d) -> tuple[frozenset, frozenset]:
     return frozenset(i0), frozenset(i1)
 
 
-@dataclass(frozen=True)
-class ClassPair:
-    """The two generalized classes of Z_d* selected by the vector a_d.
+def class_pattern(d: int, tables) -> int:
+    """The class pattern of Z_d as a d-byte little-endian int.
 
-    coset_rep is the deterministic b with d1 = b*d0, chosen as
-    (min d1) * (min d0)^-1 mod d.
+    Byte x is the xor of table[x mod len(table)] over the given tables,
+    each of a length dividing d. With the tables chi_p of the primes that
+    a_d selects, byte x of a unit x is its class; for odd p a unit is a
+    square modulo p^e exactly when it is one modulo p, so chi_p decides
+    membership in every power of p.
     """
-
-    d: int
-    a_d: tuple[int, ...]
-    d0: tuple[int, ...]
-    d1: tuple[int, ...]
-    coset_rep: int
+    pattern = 0
+    for table in tables:
+        pattern ^= int.from_bytes(table * (d // len(table)), "little")
+    return pattern
 
 
-def generalized_classes(factors, a_d, roots=None) -> ClassPair:
-    """Build both classes of Z_d* for d given by its factorization.
-
-    A unit lands in class j when the parity of (per-factor nonsquare
-    indicators) dotted with a_d is j. roots may supply per-factor primitive
-    roots; the classes themselves do not depend on that choice, which the
-    NotPrimitiveRoot check keeps honest.
-    """
+def generalized_classes(factors, a_d) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both classes (d0, d1) of Z_d*, ascending, for d given by its
+    factorization: a unit lands in class j when the parity of its per-factor
+    nonsquare indicators, dotted with a_d, is j."""
     factors = tuple(factors)
     a_d = tuple(a_d)
     if len(a_d) != len(factors):
         raise ValueError("one vector coordinate per distinct prime required")
     if not any(a_d):
         raise ZeroVector(a_d)
-    if roots is None:
-        roots = tuple(numtheory.primitive_root(p, e) for p, e in factors)
-    per_factor = [prime_power_classes(p, e, g) for (p, e), g in zip(factors, roots)]
-    nonsquares = [frozenset(c.d1) for c in per_factor]
-    qs = [p**e for p, e in factors]
-    d = math.prod(qs)
-    d0, d1 = [], []
-    for x in range(1, d):
-        if math.gcd(x, d) != 1:
-            continue
-        parity = 0
-        for q, a, ns in zip(qs, a_d, nonsquares):
-            if a and x % q in ns:
-                parity ^= 1
-        (d1 if parity else d0).append(x)
-    b = d1[0] * pow(d0[0], -1, d) % d
-    return ClassPair(d, a_d, tuple(d0), tuple(d1), b)
+    d = math.prod(p**e for p, e in factors)
+    pattern = class_pattern(
+        d, [numtheory.nonsquare_table(p) for (p, _), a in zip(factors, a_d) if a]
+    )
+    units = reduce(
+        and_,
+        (int.from_bytes((b"\0" + b"\1" * (p - 1)) * (d // p), "little") for p, _ in factors),
+    )
+    d1 = pattern & units
+    return (
+        tuple(compress(range(d), (units ^ d1).to_bytes(d, "little"))),
+        tuple(compress(range(d), d1.to_bytes(d, "little"))),
+    )
 
 
 def _unit_last(m: int) -> tuple[int, ...]:
@@ -203,18 +166,3 @@ def _check_vector(modulus: Modulus, d: int, vec: tuple[int, ...]):
         raise ValueError(f"vector for {d} must contain only bits")
     if not any(vec):
         raise ZeroVector(vec)
-
-
-def global_partition(modulus: Modulus, assignment: VectorAssignment):
-    """The partition (C0, C1) of Z_n; 0 always lands in C1."""
-    n = modulus.n
-    c0: set[int] = set()
-    c1: set[int] = {0}
-    for d in modulus.divisors_gt1():
-        pair = generalized_classes(
-            modulus.divisor_factorization(d), assignment.vector_for(d)
-        )
-        k = n // d
-        c0.update(k * x % n for x in pair.d0)
-        c1.update(k * x % n for x in pair.d1)
-    return frozenset(c0), frozenset(c1)

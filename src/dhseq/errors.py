@@ -30,19 +30,12 @@ class GcdConditionViolated(DHSeqError):
 
 
 class PeriodTooLarge(DHSeqError):
-    """The factors multiply to a period this package cannot materialize."""
+    """A period (given by its factors or its length) this package cannot
+    materialize."""
 
-    def __init__(self, factors, bound: int):
-        listed = "*".join(f"{p}^{e}" for p, e in factors)
-        super().__init__(f"period {listed} is not below the supported bound {bound}")
+    def __init__(self, period: str, bound: int):
+        super().__init__(f"period {period} is not below the supported bound {bound}")
         self.bound = bound
-
-
-class NotPrimitiveRoot(DHSeqError):
-    def __init__(self, g: int, modulus: int):
-        super().__init__(f"{g} is not a primitive root modulo {modulus}")
-        self.g = g
-        self.modulus = modulus
 
 
 class ZeroVector(DHSeqError):

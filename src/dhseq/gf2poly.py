@@ -7,6 +7,7 @@ zero polynomial instead of a sentinel that could leak into arithmetic.
 
 from __future__ import annotations
 
+import functools
 import os
 
 from . import numtheory
@@ -87,8 +88,10 @@ def is_irreducible(f: int) -> bool:
     return h == x
 
 
+@functools.cache
 def smallest_irreducible(m: int) -> int:
-    """The degree-m irreducible with the smallest coefficient integer."""
+    """The degree-m irreducible with the smallest coefficient integer
+    (cached: surveys ask for the same few degrees on every row)."""
     if m < 1:
         raise ValueError("degree must be positive")
     if m == 1:
@@ -150,9 +153,6 @@ class BinaryField:
 
     def mul(self, a: int, b: int) -> int:
         return mod(mul(a, b), self.modulus_poly)
-
-    def pow(self, a: int, k: int) -> int:
-        return powmod(a, k, self.modulus_poly)
 
     def alpha_powers(self) -> tuple[int, ...]:
         """alpha^0 .. alpha^(n-1)."""

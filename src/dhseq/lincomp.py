@@ -24,7 +24,6 @@ class LinComplexityResult:
     L: int
     method: str
     zero_count: int | None = None
-    zero_set: frozenset | None = None
 
 
 def lincomp_bm(seq) -> LinComplexityResult:
@@ -106,6 +105,5 @@ def spectral_values(seq, field: BinaryField) -> list[int]:
 
 def lincomp_spectral(seq, field: BinaryField) -> LinComplexityResult:
     """Root-counting form: n minus the count of v with S(alpha^v) = 0."""
-    values = spectral_values(seq, field)
-    zeros = frozenset(v for v, val in enumerate(values) if val == 0)
-    return LinComplexityResult(seq.n - len(zeros), SPECTRAL, len(zeros), zeros)
+    zeros = spectral_values(seq, field).count(0)
+    return LinComplexityResult(seq.n - zeros, SPECTRAL, zeros)

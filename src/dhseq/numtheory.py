@@ -139,7 +139,8 @@ def validate_modulus(factor_list) -> Modulus:
         for _ in range(e):
             n *= p
             if n >= MAX_PERIOD:
-                raise PeriodTooLarge(factors, MAX_PERIOD)
+                listed = "*".join(f"{q}^{k}" for q, k in factors)
+                raise PeriodTooLarge(listed, MAX_PERIOD)
     for p, _ in factors:
         if not is_prime(p):
             raise NotPrime(p)

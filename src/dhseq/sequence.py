@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomy import VectorAssignment
-from .numtheory import Modulus, nonsquare_table
+from .cyclotomy import VectorAssignment, class_pattern
+from .errors import PeriodTooLarge
+from .numtheory import MAX_PERIOD, Modulus, nonsquare_table
 
 _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -57,20 +58,18 @@ def generate(modulus: Modulus, assignment: VectorAssignment) -> DHSequence:
     block (n/d)*Z_d*, and its bit is the class of the unit part of i there.
     For odd p a unit is a square modulo p^e exactly when it is one modulo p,
     so the class pattern of a whole block Z_d is the xor of the tables chi_p
-    repeated d/p times, over the primes p of d that a_d selects. Writing the
-    blocks at stride n/d in decreasing order of d leaves every index with
-    the bit of its own block, since a non-unit x of Z_d is rewritten by the
-    smaller block d/gcd(x, d).
+    repeated d/p times, over the primes p of d that a_d selects
+    (cyclotomy.class_pattern). Writing the blocks at stride n/d in
+    decreasing order of d leaves every index with the bit of its own block,
+    since a non-unit x of Z_d is rewritten by the smaller block d/gcd(x, d).
     """
     n = modulus.n
     chi = {p: nonsquare_table(p) for p, _ in modulus.factors}
     buf = bytearray(n)
     for d in sorted(modulus.divisors_gt1(), reverse=True):
-        block = 0
-        for (p, _), a in zip(modulus.divisor_factorization(d), assignment.vector_for(d)):
-            if a:
-                block ^= int.from_bytes(chi[p] * (d // p), "little")
-        buf[:: n // d] = block.to_bytes(d, "little")
+        facs = modulus.divisor_factorization(d)
+        tables = [chi[p] for (p, _), a in zip(facs, assignment.vector_for(d)) if a]
+        buf[:: n // d] = class_pattern(d, tables).to_bytes(d, "little")
     buf[0] = 1
     return DHSequence(modulus, assignment, int(buf.translate(_ASCII_BITS)[::-1], 2))
 
@@ -94,6 +93,8 @@ def metadata_block(seq: DHSequence) -> str:
 def parse_bit_line(text: str) -> RawPeriod:
     """Read a sequence file payload back into a packed period."""
     line = text.strip()
+    if len(line) >= MAX_PERIOD:
+        raise PeriodTooLarge(f"of {len(line)} bits", MAX_PERIOD)
     if not line or set(line) - {"0", "1"}:
         raise ValueError("sequence file must be a single line of 0/1 characters")
     return RawPeriod(int(line[::-1], 2), len(line))

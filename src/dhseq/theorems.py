@@ -45,11 +45,11 @@ def check_lemma1(modulus: Modulus, d: int, a_d) -> CheckVerdict:
     a_d = tuple(a_d)
     if sum(a_d) % 2 == 0:
         return CheckVerdict(name, False, None, "even coordinate sum")
-    pair = cyclotomy.generalized_classes(modulus.divisor_factorization(d), a_d)
+    d0, d1 = cyclotomy.generalized_classes(modulus.divisor_factorization(d), a_d)
     g = numtheory.combined_root(modulus) % d
-    swapped0 = {g * x % d for x in pair.d0}
-    swapped1 = {g * x % d for x in pair.d1}
-    if swapped0 == set(pair.d1) and swapped1 == set(pair.d0):
+    swapped0 = {g * x % d for x in d0}
+    swapped1 = {g * x % d for x in d1}
+    if swapped0 == set(d1) and swapped1 == set(d0):
         return CheckVerdict(name, True, True)
     return CheckVerdict(name, True, False, f"g={g} does not swap the classes of {d}")
 
@@ -68,10 +68,10 @@ def check_lemma2(
         return CheckVerdict(name, False, None, "even coordinate sum")
     n = modulus.n
     k = n // d
-    pair = cyclotomy.generalized_classes(modulus.divisor_factorization(d), a_d)
+    d0, d1 = cyclotomy.generalized_classes(modulus.divisor_factorization(d), a_d)
     g = numtheory.combined_root(modulus)
-    lifted0 = {k * x % n for x in pair.d0}
-    lifted1 = {k * x % n for x in pair.d1}
+    lifted0 = {k * x % n for x in d0}
+    lifted1 = {k * x % n for x in d1}
     if {g * x % n for x in lifted1} != lifted0:
         return CheckVerdict(name, True, False, f"set form fails for d={d}")
     if field is not None:
@@ -171,22 +171,19 @@ def check_lemma3(
     n = modulus.n
     a_d = assignment.vector_for(d)
     facs = modulus.divisor_factorization(d)
-    pair = cyclotomy.generalized_classes(facs, a_d)
+    _, d1 = cyclotomy.generalized_classes(facs, a_d)
     k = n // d
     split = crt_split(modulus, d)
     _, i1 = cyclotomy.index_sets(a_d)
-    factor_classes = [
-        cyclotomy.prime_power_classes(p, l, numtheory.primitive_root(p, l))
-        for p, l in facs
-    ]
+    factor_classes = [cyclotomy.generalized_classes(((p, l),), (1,)) for p, l in facs]
     beta_exps = [
         b * (n // q) % n for b, q in zip(split.coefficients, split.prime_powers)
     ]
-    lhs = lincomp.spectrum([k * x % n for x in pair.d1], field)
+    lhs = lincomp.spectrum([k * x % n for x in d1], field)
     # factor_sums[j][b]: the class-b sum of factor j, as a spectrum in v
     factor_sums = [
-        [lincomp.spectrum([be * c % n for c in cls], field) for cls in (fc.d0, fc.d1)]
-        for be, fc in zip(beta_exps, factor_classes)
+        [lincomp.spectrum([be * c % n for c in cls], field) for cls in classes]
+        for be, classes in zip(beta_exps, factor_classes)
     ]
     odd_tuples = sorted(i1)
     for v in lincomp.common_reps(lhs, *(s for sums in factor_sums for s in sums))[1:]:

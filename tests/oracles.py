@@ -1,15 +1,19 @@
 """Slow, independent reference forms of what the package computes fast.
 
 These are the per-index and per-bit routes the package used before a period
-became one packed int, the per-v spectral sweeps the checks used before
-they shared the orbit-reduced engine, and small helpers only tests need;
-tests compare the fast routes against them.
+became one packed int, the classes built from powers of a primitive root
+(the package decides every class from the chi_p tables instead), the per-v
+spectral sweeps the checks used before they shared the orbit-reduced
+engine, and small helpers only tests need; tests compare the fast routes
+against them.
 """
 
 import math
+from dataclasses import dataclass
 
 from dhseq import cyclotomy, gf2poly, lincomp, numtheory, sequence
 from dhseq.cyclotomy import VectorAssignment
+from dhseq.errors import DHSeqError, ZeroVector
 from dhseq.numtheory import CrtView
 from dhseq.theorems import CheckVerdict, crt_split
 
@@ -66,6 +70,103 @@ def generate_by_index(modulus, assignment) -> int:
         d = n // g
         bits[i] = class_index(i // g, facs[d], vecs[d])
     return int("".join(map(str, reversed(bits))), 2)
+
+
+# --- classes from powers of a primitive root ---------------------------------
+
+
+class NotPrimitiveRoot(DHSeqError):
+    def __init__(self, g: int, modulus: int):
+        super().__init__(f"{g} is not a primitive root modulo {modulus}")
+        self.g = g
+        self.modulus = modulus
+
+
+@dataclass(frozen=True)
+class PrimePowerClasses:
+    """Squares subgroup d0 of Z_{p^e}* and its nonsquare coset d1 = g*d0."""
+
+    prime_power: int
+    d0: tuple[int, ...]
+    d1: tuple[int, ...]
+
+
+def prime_power_classes(p: int, e: int, g: int) -> PrimePowerClasses:
+    """Split Z_{p^e}* into the subgroup generated by g^2 and its coset."""
+    q = p**e
+    phi = q // p * (p - 1)
+    g %= q
+    if g % p == 0 or numtheory.multiplicative_order(g, q) != phi:
+        raise NotPrimitiveRoot(g, q)
+    g2 = g * g % q
+    d0 = []
+    x = 1
+    for _ in range(phi // 2):
+        d0.append(x)
+        x = x * g2 % q
+    d1 = tuple(sorted(g * y % q for y in d0))
+    return PrimePowerClasses(q, tuple(sorted(d0)), d1)
+
+
+@dataclass(frozen=True)
+class ClassPair:
+    """The two generalized classes of Z_d* selected by the vector a_d.
+
+    coset_rep is the deterministic b with d1 = b*d0, chosen as
+    (min d1) * (min d0)^-1 mod d.
+    """
+
+    d: int
+    a_d: tuple[int, ...]
+    d0: tuple[int, ...]
+    d1: tuple[int, ...]
+    coset_rep: int
+
+
+def classes_by_root(factors, a_d, roots=None) -> ClassPair:
+    """Both classes of Z_d*, from the per-factor classes of primitive roots.
+
+    A unit lands in class j when the parity of (per-factor nonsquare
+    indicators) dotted with a_d is j. roots may supply per-factor primitive
+    roots; the classes do not depend on that choice, which the
+    NotPrimitiveRoot check keeps honest.
+    """
+    factors = tuple(factors)
+    a_d = tuple(a_d)
+    if len(a_d) != len(factors):
+        raise ValueError("one vector coordinate per distinct prime required")
+    if not any(a_d):
+        raise ZeroVector(a_d)
+    if roots is None:
+        roots = tuple(numtheory.primitive_root(p, e) for p, e in factors)
+    per_factor = [prime_power_classes(p, e, g) for (p, e), g in zip(factors, roots)]
+    nonsquares = [frozenset(c.d1) for c in per_factor]
+    qs = [p**e for p, e in factors]
+    d = math.prod(qs)
+    d0, d1 = [], []
+    for x in range(1, d):
+        if math.gcd(x, d) != 1:
+            continue
+        parity = 0
+        for q, a, ns in zip(qs, a_d, nonsquares):
+            if a and x % q in ns:
+                parity ^= 1
+        (d1 if parity else d0).append(x)
+    b = d1[0] * pow(d0[0], -1, d) % d
+    return ClassPair(d, a_d, tuple(d0), tuple(d1), b)
+
+
+def global_partition(modulus, assignment):
+    """The partition (C0, C1) of Z_n; 0 always lands in C1."""
+    n = modulus.n
+    c0: set[int] = set()
+    c1: set[int] = {0}
+    for d in modulus.divisors_gt1():
+        pair = classes_by_root(modulus.divisor_factorization(d), assignment.vector_for(d))
+        k = n // d
+        c0.update(k * x % n for x in pair.d0)
+        c1.update(k * x % n for x in pair.d1)
+    return frozenset(c0), frozenset(c1)
 
 
 def crt_view(x: int, modulus) -> CrtView:
@@ -131,7 +232,7 @@ def lemma2_sweep(modulus, assignment, d, field) -> CheckVerdict:
         return CheckVerdict(name, False, None, "even coordinate sum")
     n = modulus.n
     k = n // d
-    pair = cyclotomy.generalized_classes(modulus.divisor_factorization(d), a_d)
+    pair = classes_by_root(modulus.divisor_factorization(d), a_d)
     g = numtheory.combined_root(modulus)
     lifted0 = {k * x % n for x in pair.d0}
     lifted1 = {k * x % n for x in pair.d1}
@@ -150,14 +251,13 @@ def lemma3_sweep(modulus, assignment, d, field) -> CheckVerdict:
     n = modulus.n
     a_d = assignment.vector_for(d)
     facs = modulus.divisor_factorization(d)
-    pair = cyclotomy.generalized_classes(facs, a_d)
+    pair = classes_by_root(facs, a_d)
     k = n // d
     lhs_exps = [k * x % n for x in pair.d1]
     split = crt_split(modulus, d)
     _, i1 = cyclotomy.index_sets(a_d)
     factor_classes = [
-        cyclotomy.prime_power_classes(p, l, numtheory.primitive_root(p, l))
-        for p, l in facs
+        prime_power_classes(p, l, numtheory.primitive_root(p, l)) for p, l in facs
     ]
     beta_exps = [
         b * (n // q) % n for b, q in zip(split.coefficients, split.prime_powers)

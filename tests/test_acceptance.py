@@ -7,7 +7,7 @@ then asserts that no counterexample was found.
 import math
 
 from dhseq import theorems
-from dhseq.cyclotomy import VectorAssignment, generalized_classes, global_partition
+from dhseq.cyclotomy import VectorAssignment, generalized_classes
 from dhseq.gf2poly import build_field
 from dhseq.lincomp import lincomp_bm, lincomp_gcd, lincomp_spectral, spectral_values
 from dhseq.numtheory import combined_root, order_of_two, validate_modulus
@@ -175,9 +175,9 @@ def test_criterion_8_structural_invariants():
         # per-divisor classes split the unit group
         assignment = VectorAssignment.default(m)
         for d in m.divisors_gt1():
-            pair = generalized_classes(m.divisor_factorization(d), assignment.vector_for(d))
+            d0, d1 = generalized_classes(m.divisor_factorization(d), assignment.vector_for(d))
             units_d = {u for u in range(1, d) if math.gcd(u, d) == 1}
-            if set(pair.d0) | set(pair.d1) != units_d or set(pair.d0) & set(pair.d1):
+            if set(d0) | set(d1) != units_d or set(d0) & set(d1):
                 failures.append((n, d, "class partition"))
         # weight and delta rules
         seq = generate(m, assignment)
@@ -194,7 +194,8 @@ def test_criterion_8_structural_invariants():
             continue
         checked += 1
         seq = generate(m, VectorAssignment.default(m))
-        zeros = lincomp_spectral(seq, build_field(m.n)).zero_set
+        values = spectral_values(seq, build_field(m.n))
+        zeros = {v for v, val in enumerate(values) if val == 0}
         if any((2 * v) % m.n not in zeros for v in zeros):
             failures.append((m.n, "frobenius"))
     report("8b: frobenius closure of the spectral zero set (ord <= 64)", failures, checked)

@@ -323,7 +323,7 @@ def test_generate_out_matches_per_index_oracle(tmp_path, capsys):
 def _wrong_by_one(real):
     def wrong(*args, **kwargs):
         r = real(*args, **kwargs)
-        return type(r)(r.L + 1, r.method, r.zero_count, r.zero_set)
+        return type(r)(r.L + 1, r.method, r.zero_count)
 
     return wrong
 
@@ -390,6 +390,19 @@ def test_oversized_period_exits_2_before_allocating(capsys, argv):
     assert out == ""
     assert "not below the supported bound" in err and "Traceback" not in err
     assert peak < 1 << 20
+
+
+def test_oversized_sequence_file_exits_2(tmp_path, capsys):
+    # a raw period is bounded like a constructed one, before the gcd starts
+    from dhseq.numtheory import MAX_PERIOD
+
+    f = tmp_path / "huge.txt"
+    f.write_text("1" * MAX_PERIOD + "\n")
+    code, out, err = run(capsys, "lincomp", "--sequence", str(f), "--method", "gcd")
+    assert code == 2
+    assert out == ""
+    assert f"period of {MAX_PERIOD} bits" in err
+    assert "not below the supported bound" in err and "Traceback" not in err
 
 
 def test_survey_row_generates_and_measures_gcd_once(monkeypatch):

@@ -3,24 +3,21 @@ from itertools import product
 
 import pytest
 
-from dhseq import cyclotomy, numtheory
-from dhseq.cyclotomy import (
-    VectorAssignment,
-    generalized_classes,
-    global_partition,
-    index_sets,
-    prime_power_classes,
-)
-from dhseq.errors import (
-    AssignmentFormatError,
-    MissingDivisorVector,
-    NotPrimitiveRoot,
-    ZeroVector,
-)
+from dhseq import numtheory
+from dhseq.cyclotomy import VectorAssignment, generalized_classes, index_sets
+from dhseq.errors import AssignmentFormatError, MissingDivisorVector, ZeroVector
 from dhseq.numtheory import CrtView, crt_combine, validate_modulus
+from dhseq.sequence import generate
 
 from conftest import valid_moduli
-from oracles import class_index, residue_class
+from oracles import (
+    NotPrimitiveRoot,
+    class_index,
+    classes_by_root,
+    global_partition,
+    prime_power_classes,
+    residue_class,
+)
 
 
 def units(d):
@@ -113,24 +110,49 @@ def crt_product_classes(factors, a_d):
 
 
 def test_generalized_classes_prime_case():
-    pair = generalized_classes(((7, 1),), (1,))
-    assert pair.d0 == (1, 2, 4) and pair.d1 == (3, 5, 6)
+    assert generalized_classes(((7, 1),), (1,)) == ((1, 2, 4), (3, 5, 6))
 
 
 def test_generalized_classes_d21_default_vector():
-    pair = generalized_classes(((3, 1), (7, 1)), (0, 1))
-    assert len(pair.d0) == 6  # phi(21)/2
+    d0, d1 = generalized_classes(((3, 1), (7, 1)), (0, 1))
+    assert len(d0) == 6  # phi(21)/2
     for x in units(21):
         expected = 1 if x % 7 in {3, 5, 6} else 0
-        assert (x in pair.d1) == bool(expected)
+        assert (x in d1) == bool(expected)
 
 
 def test_generalized_classes_d21_all_ones_vector():
-    pair = generalized_classes(((3, 1), (7, 1)), (1, 1))
+    d0, d1 = generalized_classes(((3, 1), (7, 1)), (1, 1))
     for x in units(21):
         in_d1_mod3 = x % 3 == 2
         in_d1_mod7 = x % 7 in {3, 5, 6}
-        assert (x in pair.d1) == (in_d1_mod3 != in_d1_mod7)
+        assert (x in d1) == (in_d1_mod3 != in_d1_mod7)
+
+
+def test_generalized_classes_match_root_oracle_for_every_divisor_to_2000():
+    # every (divisor, nonzero vector) of every valid n <= 2000; a divisor
+    # shared by several n is checked once
+    cases = set()
+    for m in valid_moduli(2000):
+        for d in m.divisors_gt1():
+            facs = m.divisor_factorization(d)
+            cases.update((facs, a) for a in product((0, 1), repeat=len(facs)) if any(a))
+    assert len(cases) == 1788
+    for facs, a in sorted(cases):
+        pair = classes_by_root(facs, a)
+        assert generalized_classes(facs, a) == (pair.d0, pair.d1), (facs, a)
+
+
+def test_generalized_classes_match_prime_power_classes_below_5000():
+    checked = 0
+    for p in filter(numtheory.is_prime, range(3, 5000, 2)):
+        e = 1
+        while p**e < 5000:
+            ref = prime_power_classes(p, e, numtheory.primitive_root(p, e))
+            assert generalized_classes(((p, e),), (1,)) == (ref.d0, ref.d1), (p, e)
+            checked += 1
+            e += 1
+    assert checked == 699
 
 
 def test_generalized_classes_match_crt_product_oracle():
@@ -143,10 +165,10 @@ def test_generalized_classes_match_crt_product_oracle():
         (((3, 1), (5, 1), (7, 1)), (0, 0, 1)),
     ]
     for factors, a_d in cases:
-        pair = generalized_classes(factors, a_d)
+        d0, d1 = generalized_classes(factors, a_d)
         e0, e1 = crt_product_classes(factors, a_d)
-        assert set(pair.d0) == e0
-        assert set(pair.d1) == e1
+        assert set(d0) == e0
+        assert set(d1) == e1
 
 
 def test_generalized_classes_structure():
@@ -155,7 +177,8 @@ def test_generalized_classes_structure():
         (((3, 2),), (1,)),
         (((3, 1), (5, 1)), (1, 1)),
     ]:
-        pair = generalized_classes(factors, a_d)
+        pair = classes_by_root(factors, a_d)
+        assert generalized_classes(factors, a_d) == (pair.d0, pair.d1)
         d = pair.d
         assert set(pair.d0) | set(pair.d1) == set(units(d))
         assert set(pair.d0) & set(pair.d1) == set()
@@ -168,10 +191,13 @@ def test_generalized_classes_structure():
 
 
 def test_generalized_classes_errors():
-    with pytest.raises(ZeroVector):
-        generalized_classes(((3, 1), (7, 1)), (0, 0))
-    with pytest.raises(ValueError):
-        generalized_classes(((3, 1), (7, 1)), (1,))
+    for build in (generalized_classes, classes_by_root):
+        with pytest.raises(ZeroVector):
+            build(((3, 1), (7, 1)), (0, 0))
+        with pytest.raises(ValueError):
+            build(((3, 1), (7, 1)), (1,))
+        with pytest.raises(ValueError):
+            build(((3, 1),), (1, 1))
 
 
 def test_class_index_matches_sets():
@@ -180,9 +206,9 @@ def test_class_index_matches_sets():
         (((3, 1), (7, 1)), (1, 1)),
         (((3, 2), (5, 1)), (1, 0)),
     ]:
-        pair = generalized_classes(factors, a_d)
-        for x in units(pair.d):
-            assert class_index(x, factors, a_d) == (1 if x in pair.d1 else 0)
+        d0, d1 = generalized_classes(factors, a_d)
+        for x in units(math.prod(p**e for p, e in factors)):
+            assert class_index(x, factors, a_d) == (1 if x in d1 else 0)
 
 
 def test_default_assignment_shape():
@@ -226,6 +252,8 @@ def test_assignment_parse_spec():
 def test_missing_divisor_vector():
     m = validate_modulus([(3, 1), (7, 1)])
     partial = VectorAssignment(m, {3: (1,), 7: (1,)})
+    with pytest.raises(MissingDivisorVector):
+        generate(m, partial)
     with pytest.raises(MissingDivisorVector):
         global_partition(m, partial)
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dhseq.cyclotomy import VectorAssignment, global_partition
+from dhseq.cyclotomy import VectorAssignment
 from dhseq.numtheory import validate_modulus
 from dhseq.sequence import (
     DHSequence,
@@ -14,7 +14,7 @@ from dhseq.sequence import (
 )
 
 from conftest import valid_moduli
-from oracles import from_bits, generate_by_index, one_positions, to_bits
+from oracles import from_bits, generate_by_index, global_partition, one_positions, to_bits
 
 
 def test_generate_n3():
@@ -96,6 +96,18 @@ def test_parse_bit_line_rejects_junk():
         parse_bit_line("01012")
     with pytest.raises(ValueError):
         parse_bit_line("")
+
+
+def test_parse_bit_line_period_bound():
+    from dhseq.errors import DHSeqError, PeriodTooLarge
+    from dhseq.numtheory import MAX_PERIOD
+
+    rp = parse_bit_line("0" * (MAX_PERIOD - 2) + "1\n")
+    assert rp == RawPeriod(1 << (MAX_PERIOD - 2), MAX_PERIOD - 1)
+    for bad in ("1" * MAX_PERIOD, "2" * (MAX_PERIOD + 1)):
+        with pytest.raises(PeriodTooLarge) as exc:
+            parse_bit_line(bad)
+        assert isinstance(exc.value, DHSeqError)
 
 
 def test_raw_period():

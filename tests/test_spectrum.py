@@ -1,12 +1,13 @@
 """The orbit-reduced spectral engine against the per-v sweeps it replaced."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dhseq import cyclotomy, sequence
-from dhseq.cyclotomy import ClassPair, VectorAssignment
+from dhseq.cyclotomy import VectorAssignment
 from dhseq.gf2poly import build_field
 from dhseq.lincomp import (
     common_reps,
@@ -19,6 +20,7 @@ from dhseq.numtheory import factorize, h_orbits, order_of_two, validate_modulus
 from dhseq.sequence import DHSequence, RawPeriod, generate
 from dhseq.theorems import check_lemma2, check_lemma3, check_lemma4, check_theorem1
 
+import oracles
 from conftest import valid_moduli
 from oracles import (
     lemma2_sweep,
@@ -208,29 +210,38 @@ def test_flipped_orbit_reports_pairing_witness_through_reduced_spectra(monkeypat
     assert got.witness.startswith("pairing fails at v=")
 
 
-def swap_first(pair: ClassPair) -> ClassPair:
+def swap_first(d0, d1):
     """Move one unit from each class to the other: no longer a union of orbits."""
-    d0 = sorted(pair.d0[1:] + pair.d1[:1])
-    d1 = sorted(pair.d1[1:] + pair.d0[:1])
-    return ClassPair(pair.d, pair.a_d, tuple(d0), tuple(d1), pair.coset_rep)
+    return tuple(sorted(d0[1:] + d1[:1])), tuple(sorted(d1[1:] + d0[:1]))
 
 
-def swap_all(pair: ClassPair) -> ClassPair:
+def swap_all(d0, d1):
     """Exchange the two classes: still unions of orbits."""
-    return ClassPair(pair.d, pair.a_d, pair.d1, pair.d0, pair.coset_rep)
+    return d1, d0
 
 
 @pytest.mark.parametrize("tamper", [swap_first, swap_all])
 @pytest.mark.parametrize("m", [M105, M33], ids=["105", "33"])
 def test_tampered_class_fails_lemma2_and_lemma3_like_the_sweep(monkeypatch, m, tamper):
+    # the package and the sweeps build their classes by different routes;
+    # both get the same tampered class of d = n
     real = cyclotomy.generalized_classes
+    real_oracle = oracles.classes_by_root
     target = m.n
 
-    def tampered(factors, a_d, roots=None):
-        pair = real(factors, a_d, roots)
-        return tamper(pair) if pair.d == target else pair
+    def tampered(factors, a_d):
+        pair = real(factors, a_d)
+        return tamper(*pair) if math.prod(p**e for p, e in factors) == target else pair
+
+    def tampered_oracle(factors, a_d, roots=None):
+        pair = real_oracle(factors, a_d, roots)
+        if pair.d != target:
+            return pair
+        d0, d1 = tamper(pair.d0, pair.d1)
+        return dataclasses.replace(pair, d0=d0, d1=d1)
 
     monkeypatch.setattr(cyclotomy, "generalized_classes", tampered)
+    monkeypatch.setattr(oracles, "classes_by_root", tampered_oracle)
     field = build_field(m.n)
     a = VectorAssignment.default(m)
     got3 = check_lemma3(m, a, target, field)

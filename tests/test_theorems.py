@@ -41,10 +41,10 @@ def test_lemma1_even_sum_not_applicable():
 
 def test_lemma1_d21_bruteforce():
     # independent set computation over Z_21
-    pair = generalized_classes(((3, 1), (7, 1)), (0, 1))
+    d0, d1 = generalized_classes(((3, 1), (7, 1)), (0, 1))
     g = 17 % 21
-    assert {g * x % 21 for x in pair.d0} == set(pair.d1)
-    assert {g * x % 21 for x in pair.d1} == set(pair.d0)
+    assert {g * x % 21 for x in d0} == set(d1)
+    assert {g * x % 21 for x in d1} == set(d0)
     v = check_lemma1(M21, 21, (0, 1))
     assert v.applicable and v.holds
 
@@ -83,10 +83,10 @@ def test_lemma2_oracle_horner_n21():
 
     field = build_field(21)
     a = VectorAssignment.default(M21)
-    pair = generalized_classes(((7, 1),), a.vector_for(7))
+    d0, d1 = generalized_classes(((7, 1),), a.vector_for(7))
     k = 21 // 7
-    p1 = from_bits([1 if i in {k * x % 21 for x in pair.d1} else 0 for i in range(21)])
-    p0 = from_bits([1 if i in {k * x % 21 for x in pair.d0} else 0 for i in range(21)])
+    p1 = from_bits([1 if i in {k * x % 21 for x in d1} else 0 for i in range(21)])
+    p0 = from_bits([1 if i in {k * x % 21 for x in d0} else 0 for i in range(21)])
     g = combined_root(M21)
     for v in range(1, 21):
         lhs = eval_poly(p1, alpha_power(field, v * g), field)
