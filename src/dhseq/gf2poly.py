@@ -56,6 +56,63 @@ def gcd(a: int, b: int) -> int:
     return a
 
 
+def fold(a: int, d: int) -> int:
+    """a modulo x^d + 1: the xor of its d-bit chunks, taken by halving the
+    chunk count at each step (x^(kd) = 1 modulo x^d + 1)."""
+    chunks = -(-a.bit_length() // d)
+    while chunks > 1:
+        chunks = (chunks + 1) // 2
+        a = (a & ((1 << chunks * d) - 1)) ^ (a >> chunks * d)
+    return a
+
+
+def _cyclotomic_terms(d: int, primes) -> list[tuple[int, int]]:
+    """Phi_d as a Moebius product of (x^e + 1)^mu(d/e): the pairs (e, mu(d/e))
+    over the e | d with d/e squarefree, given the distinct primes of d.
+    The first pair is (d, 1)."""
+    terms = [(d, 1)]
+    for p in primes:
+        terms += [(e // p, -mu) for e, mu in terms]
+    return terms
+
+
+def cyclotomic(d: int, primes) -> int:
+    """Phi_d over GF(2), given the distinct primes of d."""
+    terms = _cyclotomic_terms(d, primes)
+    return _mobius_product(1, terms, sum(e * mu for e, mu in terms) + 1)
+
+
+def _mobius_product(a: int, terms, length: int) -> int:
+    """a times the product of (x^e + 1)^sign over (e, sign) in terms,
+    modulo x^length.
+
+    Each multiplication is one shift-xor. Each division is a multiplication
+    by the power series 1/(1 + x^e) = (1 + x^e)(1 + x^2e)(1 + x^4e)...,
+    a stride-e prefix xor done by doubling; when the true product is a
+    polynomial of degree below length, the truncated result is exact.
+    """
+    mask = (1 << length) - 1
+    a &= mask
+    for e, sign in terms:
+        if sign > 0:
+            a = (a ^ (a << e)) & mask
+        else:
+            while e < length:
+                a = (a ^ (a << e)) & mask
+                e <<= 1
+    return a
+
+
+def cyclotomic_mod(a: int, d: int, primes) -> int:
+    """a modulo Phi_d for a of degree below d, without dividing by the dense
+    Phi_d: with Psi_d = (x^d + 1)/Phi_d, the quotient is (a * Psi_d) >> d,
+    since a * Psi_d = q (x^d + 1) + r Psi_d with deg(r Psi_d) < d."""
+    terms = _cyclotomic_terms(d, primes)
+    psi = [(e, -mu) for e, mu in terms[1:]]
+    q = _mobius_product(a, psi, 2 * d) >> d
+    return a ^ _mobius_product(q, terms, d)
+
+
 def powmod(a: int, k: int, m: int) -> int:
     """a**k reduced modulo m."""
     if k < 0:

@@ -11,7 +11,8 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from . import gf2poly
+from . import gf2poly, numtheory
+from .errors import MethodDisagreement
 from .gf2poly import BinaryField
 
 BM = "BM"
@@ -33,10 +34,59 @@ def lincomp_bm(seq) -> LinComplexityResult:
 
 
 def lincomp_gcd(seq) -> LinComplexityResult:
-    """n minus the number of period roots shared with x^n + 1."""
-    g = gf2poly.gcd(seq.packed, (1 << seq.n) | 1)
-    zero_count = g.bit_length() - 1
-    return LinComplexityResult(seq.n - zero_count, GCD, zero_count)
+    """n minus the degree of gcd(S, x^n + 1).
+
+    For odd n the gcd is taken block by block over x^n + 1 = the product of
+    the Phi_d, d | n (block_zero_counts); an even n, whose x^n + 1 is not
+    squarefree, runs one Euclid on (S, x^n + 1).
+    """
+    n = seq.n
+    if n % 2:
+        zero_count = sum(block_zero_counts(seq.packed, n).values())
+    else:
+        zero_count = gf2poly.gcd(seq.packed, (1 << n) | 1).bit_length() - 1
+    return LinComplexityResult(n - zero_count, GCD, zero_count)
+
+
+def block_zero_counts(packed: int, n: int) -> dict[int, int]:
+    """deg gcd(S mod Phi_d, Phi_d) for every d | n, n odd.
+
+    x^n + 1 is squarefree for odd n, so these sum to deg gcd(S, x^n + 1).
+    S_d = S mod (x^d + 1) is folded from S_dp for a prime p, largest d
+    first, and reduced modulo Phi_d by gf2poly.cyclotomic_mod in O(n) bit
+    operations. Block 1 is the parity of S. When ord_d(2) = phi(d), Phi_d
+    is irreducible and the block needs only a zero test; otherwise it runs
+    Euclid against the dense Phi_d. Each irreducible factor of Phi_d has
+    degree ord_d(2), so a count that is no multiple of it raises
+    MethodDisagreement.
+    """
+    factors = numtheory.factorize(n)
+    primes = [p for p, _ in factors]
+    folded = {n: packed}
+    counts = {}
+    for d in reversed(numtheory.divisors(factors)):
+        if d < n:
+            p = next(p for p in primes if n % (d * p) == 0)
+            folded[d] = gf2poly.fold(folded[d * p], d)
+        if d == 1:
+            counts[1] = 1 - folded[1]
+            continue
+        dprimes = [p for p in primes if d % p == 0]
+        phi = d
+        for p in dprimes:
+            phi = phi // p * (p - 1)
+        order = numtheory.multiplicative_order(2, d)
+        r = gf2poly.cyclotomic_mod(folded[d], d, dprimes)
+        if order == phi:
+            count = 0 if r else phi
+        else:
+            count = gf2poly.degree(gf2poly.gcd(r, gf2poly.cyclotomic(d, dprimes)))
+        if count % order:
+            raise MethodDisagreement(
+                f"block Phi_{d} has {count} common roots, not a multiple of ord_{d}(2) = {order}"
+            )
+        counts[d] = count
+    return counts
 
 
 class Spectrum:

@@ -78,7 +78,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _divisors_from_factors(factors) -> list[int]:
+def divisors(factors) -> list[int]:
+    """Every divisor of the product of the (prime, exponent) pairs, ascending."""
     divs = [1]
     for p, e in factors:
         divs = [d * p**k for d in divs for k in range(e + 1)]
@@ -100,7 +101,7 @@ class Modulus:
         return tuple(p**e for p, e in self.factors)
 
     def divisors_gt1(self) -> list[int]:
-        return [d for d in _divisors_from_factors(self.factors) if d > 1]
+        return [d for d in divisors(self.factors) if d > 1]
 
     def divisor_factorization(self, d: int) -> tuple[tuple[int, int], ...]:
         """Factorization of a divisor d > 1 of n, ascending primes."""
@@ -219,7 +220,7 @@ def multiplicative_order(a: int, m: int) -> int:
     a %= m
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit modulo {m}")
-    for d in _divisors_from_factors(factorize(carmichael(m))):
+    for d in divisors(factorize(carmichael(m))):
         if pow(a, d, m) == 1:
             return d
     raise ArithmeticError("order search failed")
@@ -274,7 +275,7 @@ def h_orbits(n: int) -> HOrbits:
     chi = {p: b"".join([zero, one][c] for c in nonsquare_table(p)) for p, _ in factors}
     labels = [0] * n
     count = 1  # label 0 is v = 0
-    for d in reversed(_divisors_from_factors(factors)[1:]):
+    for d in reversed(divisors(factors)[1:]):
         primes = [p for p, _ in factors if d % p == 0]
         block = count * int.from_bytes(one * d, order)
         for j, p in enumerate(primes):

@@ -92,8 +92,13 @@ def check_theorem1(
     verified as well."""
     if _has_even_vector(modulus, assignment):
         return CheckVerdict("theorem1", False, None, _EVEN_SUM)
+    return _theorem1_verdict(modulus, *_measure(modulus, assignment), field)
+
+
+def _measure(modulus: Modulus, assignment: VectorAssignment) -> tuple[DHSequence, int]:
+    """The generated period and its complexity by the gcd route."""
     seq = sequence.generate(modulus, assignment)
-    return _theorem1_verdict(modulus, seq, lincomp.lincomp_gcd(seq).L, field)
+    return seq, lincomp.lincomp_gcd(seq).L
 
 
 def _theorem1_verdict(
@@ -120,19 +125,28 @@ def _theorem1_verdict(
 def check_corollary(modulus: Modulus, assignment: VectorAssignment) -> CheckVerdict:
     """When 2 generates every factor's unit group (so the combined root can
     be taken to be 2), the complexity must be exactly n - delta."""
-    name = "corollary"
+    return _corollary_skip(modulus, assignment) or _corollary_verdict(
+        modulus, _measure(modulus, assignment)[1]
+    )
+
+
+def _corollary_skip(modulus: Modulus, assignment: VectorAssignment) -> CheckVerdict | None:
+    """The not-applicable corollary verdict, or None when it applies."""
     if _has_even_vector(modulus, assignment):
-        return CheckVerdict(name, False, None, _EVEN_SUM)
+        return CheckVerdict("corollary", False, None, _EVEN_SUM)
     for p, e in modulus.factors:
         q = p**e
         if numtheory.multiplicative_order(2, q) != q // p * (p - 1):
-            return CheckVerdict(name, False, None, f"2 is not a primitive root modulo {q}")
-    seq = sequence.generate(modulus, assignment)
+            return CheckVerdict("corollary", False, None, f"2 is not a primitive root modulo {q}")
+    return None
+
+
+def _corollary_verdict(modulus: Modulus, L: int) -> CheckVerdict:
+    """check_corollary, where it applies, on a complexity already measured."""
     expected = modulus.n - delta(modulus.n)
-    L = lincomp.lincomp_gcd(seq).L
     if L == expected:
-        return CheckVerdict(name, True, True)
-    return CheckVerdict(name, True, False, f"L={L}, expected {expected}")
+        return CheckVerdict("corollary", True, True)
+    return CheckVerdict("corollary", True, False, f"L={L}, expected {expected}")
 
 
 @dataclass(frozen=True)
@@ -254,6 +268,12 @@ def all_checks(
             for d in divisors
         ]
         out.append(CheckVerdict("lemma4", False, None, "field unavailable"))
-    out.append(check_theorem1(modulus, assignment, field))
-    out.append(check_corollary(modulus, assignment))
+    if _has_even_vector(modulus, assignment):
+        out.append(check_theorem1(modulus, assignment, field))
+        out.append(check_corollary(modulus, assignment))
+    else:
+        # one period and one gcd serve both verdicts
+        seq, L = _measure(modulus, assignment)
+        out.append(_theorem1_verdict(modulus, seq, L, field))
+        out.append(_corollary_skip(modulus, assignment) or _corollary_verdict(modulus, L))
     return out

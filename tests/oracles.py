@@ -4,10 +4,12 @@ These are the per-index and per-bit routes the package used before a period
 became one packed int, the classes built from powers of a primitive root
 (the package decides every class from the chi_p tables instead), the per-v
 spectral sweeps the checks used before they shared the orbit-reduced
-engine, and small helpers only tests need; tests compare the fast routes
-against them.
+engine, the one-shot Euclid the gcd route ran before it split x^n + 1
+into cyclotomic blocks, and small helpers only tests need; tests compare
+the fast routes against them.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -206,6 +208,27 @@ def eval_poly(f: int, x: int, field) -> int:
     for i in range(d, -1, -1):
         acc = field.mul(acc, x) ^ ((f >> i) & 1)
     return acc
+
+
+# --- the one-shot gcd route --------------------------------------------------
+
+
+def lincomp_gcd_euclid(seq) -> lincomp.LinComplexityResult:
+    """n minus deg gcd(S, x^n + 1), by one Euclid on the whole period."""
+    zero_count = gf2poly.degree(gf2poly.gcd(seq.packed, (1 << seq.n) | 1))
+    return lincomp.LinComplexityResult(seq.n - zero_count, lincomp.GCD, zero_count)
+
+
+@functools.cache
+def cyclotomic_by_division(d: int) -> int:
+    """Phi_d as (x^d + 1) divided by every Phi_e, e a proper divisor of d."""
+    den = 1
+    for e in range(1, d):
+        if d % e == 0:
+            den = gf2poly.mul(den, cyclotomic_by_division(e))
+    q, r = divmod_((1 << d) | 1, den)
+    assert r == 0
+    return q
 
 
 # --- per-v spectral sweeps ---------------------------------------------------

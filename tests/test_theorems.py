@@ -301,3 +301,43 @@ def test_all_checks_shapes():
     verdicts = theorems.all_checks(M21, VectorAssignment.default(M21), None)
     lemma3 = [v for v in verdicts if v.name.startswith("lemma3")]
     assert lemma3 and all(not v.applicable for v in lemma3)
+
+
+@pytest.mark.parametrize(
+    "factors, overrides, generated",
+    [
+        ([(3, 2), (5, 1)], None, 1),  # theorem1 and corollary both apply
+        ([(3, 1), (7, 1)], None, 1),  # corollary: 2 is not primitive modulo 7
+        ([(3, 1), (7, 1)], "21:11", 0),  # even sum: neither needs the period
+    ],
+)
+def test_all_checks_generates_and_measures_gcd_once(monkeypatch, factors, overrides, generated):
+    from collections import Counter
+
+    from dhseq import lincomp, sequence
+
+    m = validate_modulus(factors)
+    if overrides:
+        assignment = VectorAssignment.parse_spec(m, overrides)
+    else:
+        assignment = VectorAssignment.default(m)
+    field = build_field(m.n)
+    separate = [check_theorem1(m, assignment, field), check_corollary(m, assignment)]
+    calls = Counter()
+
+    def counted(module, attr):
+        real = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counted(sequence, "generate")
+    counted(lincomp, "lincomp_gcd")
+    verdicts = theorems.all_checks(m, assignment, field)
+    # lemma4 (squarefree two-prime n) generates its own all-ones-top period
+    lemma4 = int(verdicts[-3].applicable)
+    assert calls == Counter(generate=generated + lemma4, lincomp_gcd=generated)
+    assert verdicts[-2:] == separate
