@@ -56,6 +56,18 @@ def gcd(a: int, b: int) -> int:
     return a
 
 
+def rank(vectors) -> int:
+    """Rank over GF(2) of bit vectors given as ints."""
+    basis: list[int] = []  # distinct leading bits, largest first
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
 def fold(a: int, d: int) -> int:
     """a modulo x^d + 1: the xor of its d-bit chunks, taken by halving the
     chunk count at each step (x^(kd) = 1 modulo x^d + 1)."""

@@ -7,6 +7,7 @@ periods read from disk get the same treatment as constructed sequences.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -48,45 +49,116 @@ def lincomp_gcd(seq) -> LinComplexityResult:
     return LinComplexityResult(n - zero_count, GCD, zero_count)
 
 
+# A block whose S_d is a union of H-orbits takes the rank route when
+# orbits(d)^2 * _RANK_COST <= d; any other non-irreducible block runs
+# Euclid. Euclid costs about d^2 bit operations and the rank route about
+# orbits(d)^2 * d, but the rank route pays more per step, so no block below
+# 9 * _RANK_COST = 4608 takes it (no block of a survey period does). For
+# d < 2^24 the rule also bounds orbits(d) by 181, so orbit labels fit in
+# one byte each.
+_RANK_COST = 512
+
+
 def block_zero_counts(packed: int, n: int) -> dict[int, int]:
     """deg gcd(S mod Phi_d, Phi_d) for every d | n, n odd.
 
     x^n + 1 is squarefree for odd n, so these sum to deg gcd(S, x^n + 1).
     S_d = S mod (x^d + 1) is folded from S_dp for a prime p, largest d
-    first, and reduced modulo Phi_d by gf2poly.cyclotomic_mod in O(n) bit
-    operations. Block 1 is the parity of S. When ord_d(2) = phi(d), Phi_d
-    is irreducible and the block needs only a zero test; otherwise it runs
-    Euclid against the dense Phi_d. Each irreducible factor of Phi_d has
-    degree ord_d(2), so a count that is no multiple of it raises
+    first; the counts are then taken smallest d first, each block by the
+    cheapest exact route:
+
+    - block 1 is the parity of S;
+    - when ord_d(2) = phi(d), Phi_d is irreducible, and the block needs only
+      a zero test of S_d mod Phi_d (gf2poly.cyclotomic_mod, O(d) bit work);
+    - when S_d is a union of H-orbits of Z_d, and the orbits are few
+      (_RANK_COST), orbit_kernel counts K(d), the H-orbits of d-th roots
+      of unity where S vanishes. Those of order e | d number z(e) = count(e) *
+      2^omega(e) / phi(e), so the block count is (K(d) - the sum of z(e)
+      over e | d, e < d) * phi(d) / 2^omega(d);
+    - otherwise Euclid runs on (S_d mod Phi_d, Phi_d) against the dense
+      Phi_d.
+
+    Each irreducible factor of Phi_d has degree ord_d(2), so a count that
+    is no multiple of it, or falls outside [0, phi(d)], raises
     MethodDisagreement.
     """
     factors = numtheory.factorize(n)
     primes = [p for p, _ in factors]
+    divisors = numtheory.divisors(factors)
     folded = {n: packed}
-    counts = {}
-    for d in reversed(numtheory.divisors(factors)):
-        if d < n:
-            p = next(p for p in primes if n % (d * p) == 0)
-            folded[d] = gf2poly.fold(folded[d * p], d)
-        if d == 1:
-            counts[1] = 1 - folded[1]
-            continue
+    for d in reversed(divisors[:-1]):
+        p = next(p for p in primes if n % (d * p) == 0)
+        folded[d] = gf2poly.fold(folded[d * p], d)
+    counts = {1: 1 - folded[1]}
+    orbit_zeros = {1: counts[1]}  # z(e) of the blocks done so far
+    for d in divisors[1:]:
         dprimes = [p for p in primes if d % p == 0]
         phi = d
         for p in dprimes:
             phi = phi // p * (p - 1)
+        size = phi >> len(dprimes)  # phi(d) / 2^omega(d), one H-orbit of units
         order = numtheory.multiplicative_order(2, d)
-        r = gf2poly.cyclotomic_mod(folded[d], d, dprimes)
-        if order == phi:
-            count = 0 if r else phi
+        kernel = None
+        # every d > 1 has at least 3 orbits, so smaller blocks skip the test
+        if order != phi and 9 * _RANK_COST <= d:
+            dfactors = numtheory.factorize(d)
+            if math.prod(2 * l + 1 for _, l in dfactors) ** 2 * _RANK_COST <= d:
+                kernel = orbit_kernel(folded[d], d, dfactors)
+        if kernel is not None:
+            count = (kernel - sum(z for e, z in orbit_zeros.items() if d % e == 0)) * size
         else:
-            count = gf2poly.degree(gf2poly.gcd(r, gf2poly.cyclotomic(d, dprimes)))
-        if count % order:
+            r = gf2poly.cyclotomic_mod(folded[d], d, dprimes)
+            if order == phi:
+                count = 0 if r else phi
+            else:
+                count = gf2poly.degree(gf2poly.gcd(r, gf2poly.cyclotomic(d, dprimes)))
+        if count % order or not 0 <= count <= phi:
             raise MethodDisagreement(
-                f"block Phi_{d} has {count} common roots, not a multiple of ord_{d}(2) = {order}"
+                f"block Phi_{d} has {count} common roots, not a multiple of"
+                f" ord_{d}(2) = {order} between 0 and phi({d}) = {phi}"
             )
         counts[d] = count
+        orbit_zeros[d] = count // size
     return counts
+
+
+def orbit_kernel(s: int, d: int, factors) -> int | None:
+    """K(d): the number of H-orbits of d-th roots of unity where S_d
+    vanishes, for S_d = s of degree below d and d given by its (prime,
+    exponent) pairs; None when S_d is not a union of H-orbits of Z_d.
+
+    An H-invariant S_d lies in the algebra spanned by the orbit sums
+    theta_B of GF(2)[x]/(x^d + 1), and multiplication by it is a k x k
+    matrix over GF(2), k the number of orbits: entry (C, B), the
+    coefficient of x^c in S_d * theta_B for c the least member of C, is
+    the parity of |S_d & (c - B)|, and c - B is the orbit -B rotated by c.
+    Over a field holding the d-th roots of unity that algebra is the
+    functions on the orbits, so the kernel dimension k - rank counts the
+    orbits where S vanishes. The labels take d bytes, and one d-bit mask
+    of -B is alive at a time. A mask that meets S_d in part (the test
+    lincomp.spectrum makes) ends the route.
+    """
+    labels, k = numtheory.orbit_label_buffer(factors, "B")
+    reps = [labels.find(b) for b in range(k)]
+    table = bytearray(b"0" * 256)
+    columns = []
+    for b in range(k):
+        table[b] = ord("1")
+        # parsed in base 2, the label of d - 1 - x lands at bit x; rotating
+        # left by one puts the label of -x there
+        mask = int(labels.translate(table), 2)
+        table[b] = ord("0")
+        mask = (mask << 1 | mask >> (d - 1)) & ((1 << d) - 1)
+        hit = s & mask
+        if hit and hit != mask:
+            return None
+        column = 0
+        for i, c in enumerate(reps):
+            # s & (mask rotated left by c), split at the wrap
+            parity = (s & mask << c).bit_count() + (s & mask >> (d - c)).bit_count()
+            column |= (parity & 1) << i
+        columns.append(column)
+    return k - gf2poly.rank(columns)
 
 
 class Spectrum:

@@ -257,32 +257,55 @@ class HOrbits(NamedTuple):
     sizes: tuple[int, ...]
 
 
-def h_orbits(n: int) -> HOrbits:
-    """Label every v in Z_n with its H-orbit.
+def orbit_label_buffer(factors, fmt: str) -> tuple[bytearray, int]:
+    """The H-orbit labels of Z_n, n the product of the odd (prime,
+    exponent) pairs, as one native struct item of format fmt per v, and
+    the number of labels.
 
     The divisor blocks (n/d)*Z_d are written at stride n/d in decreasing
     order of d, as in sequence.generate, so every v keeps the label of its
     own block. Within block d, x gets the block's first label plus the bits
     chi_p(x mod p) << j over the primes p_j of d. Each block is built as
-    one int of machine words, one word per x, so the work runs at C speed.
+    one int of items, one item per x, so the work runs at C speed. Label 0
+    is v = 0, and the labels are numbered block by block, not by least
+    member; the caller picks an fmt wide enough for the count.
     """
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"H-orbits need an odd n >= 1, got {n}")
-    factors = factorize(n)
+    n = math.prod(p**e for p, e in factors)
+    word = struct.calcsize(fmt)
     order = sys.byteorder
-    word = struct.calcsize("I")
-    zero, one = (c.to_bytes(word, order) for c in (0, 1))
-    chi = {p: b"".join([zero, one][c] for c in nonsquare_table(p)) for p, _ in factors}
-    labels = [0] * n
-    count = 1  # label 0 is v = 0
+    chi = {}
+    for p, _ in factors:
+        items = bytearray(word * p)
+        items[(0 if order == "little" else word - 1) :: word] = nonsquare_table(p)
+        chi[p] = int.from_bytes(items, order)
+    buf = bytearray(word)  # n = 1 has the one label 0
+    count = 1
     for d in reversed(divisors(factors)[1:]):
         primes = [p for p, _ in factors if d % p == 0]
-        block = count * int.from_bytes(one * d, order)
+        block = int.from_bytes(count.to_bytes(word, order) * d, order)
         for j, p in enumerate(primes):
-            block += int.from_bytes(chi[p] * (d // p), order) << j
-        labels[:: n // d] = memoryview(block.to_bytes(word * d, order)).cast("I")
+            table = (chi[p] << j).to_bytes(word * p, order)
+            block += int.from_bytes(table * (d // p), order)
+        items = block.to_bytes(word * d, order)
+        del block
+        if d == n:
+            # the first block covers Z_n; building it before the buffer
+            # exists keeps the peak at three block-sized ints
+            buf = bytearray(items)
+        else:
+            memoryview(buf).cast(fmt)[:: n // d] = memoryview(items).cast(fmt)
         count += 1 << len(primes)
-    labels[0] = 0
+    memoryview(buf).cast(fmt)[0] = 0  # label 0 is v = 0
+    return buf, count
+
+
+def h_orbits(n: int) -> HOrbits:
+    """Label every v in Z_n with its H-orbit (orbit_label_buffer, then
+    renumbered by least member)."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"H-orbits need an odd n >= 1, got {n}")
+    buf, count = orbit_label_buffer(factorize(n), "I")
+    labels = memoryview(buf).cast("I").tolist()
     # renumber by least member: dict keys keep first-occurrence order
     renumber = [0] * count
     for k, label in enumerate(dict.fromkeys(labels)):

@@ -41,12 +41,22 @@ class CheckVerdict:
 def check_lemma1(modulus: Modulus, d: int, a_d) -> CheckVerdict:
     """Multiplication by the combined root must swap the two classes of d
     whenever the vector has odd coordinate sum."""
-    name = f"lemma1(d={d})"
     a_d = tuple(a_d)
     if sum(a_d) % 2 == 0:
-        return CheckVerdict(name, False, None, "even coordinate sum")
-    d0, d1 = cyclotomy.generalized_classes(modulus.divisor_factorization(d), a_d)
-    g = numtheory.combined_root(modulus) % d
+        return CheckVerdict(f"lemma1(d={d})", False, None, "even coordinate sum")
+    return _lemma1_verdict(d, _classes(modulus, d, a_d), numtheory.combined_root(modulus))
+
+
+def _classes(modulus: Modulus, d: int, a_d) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return cyclotomy.generalized_classes(modulus.divisor_factorization(d), a_d)
+
+
+def _lemma1_verdict(d: int, classes, g: int) -> CheckVerdict:
+    """check_lemma1 for an odd-sum vector, given the classes (d0, d1) of d
+    and the combined root g."""
+    name = f"lemma1(d={d})"
+    d0, d1 = classes
+    g %= d
     swapped0 = {g * x % d for x in d0}
     swapped1 = {g * x % d for x in d1}
     if swapped0 == set(d1) and swapped1 == set(d0):
@@ -62,14 +72,23 @@ def check_lemma2(
 
     Without a field only the underlying set identity is checked.
     """
-    name = f"lemma2(d={d})"
     a_d = assignment.vector_for(d)
     if sum(a_d) % 2 == 0:
-        return CheckVerdict(name, False, None, "even coordinate sum")
+        return CheckVerdict(f"lemma2(d={d})", False, None, "even coordinate sum")
+    return _lemma2_verdict(
+        modulus, d, _classes(modulus, d, a_d), numtheory.combined_root(modulus), field
+    )
+
+
+def _lemma2_verdict(
+    modulus: Modulus, d: int, classes, g: int, field: BinaryField | None
+) -> CheckVerdict:
+    """check_lemma2 for an odd-sum vector, given the classes (d0, d1) of d
+    and the combined root g."""
+    name = f"lemma2(d={d})"
     n = modulus.n
     k = n // d
-    d0, d1 = cyclotomy.generalized_classes(modulus.divisor_factorization(d), a_d)
-    g = numtheory.combined_root(modulus)
+    d0, d1 = classes
     lifted0 = {k * x % n for x in d0}
     lifted1 = {k * x % n for x in d1}
     if {g * x % n for x in lifted1} != lifted0:
@@ -181,11 +200,15 @@ def check_lemma3(
     sum over odd index tuples of the products of per-factor class sums at
     beta_k^v. (Equivalently, with the roots from the split of n itself the
     per-factor argument is beta^((n/d)v); the two forms coincide.)"""
+    a_d = assignment.vector_for(d)
+    return _lemma3_verdict(modulus, d, a_d, _classes(modulus, d, a_d)[1], field)
+
+
+def _lemma3_verdict(modulus: Modulus, d: int, a_d, d1, field: BinaryField) -> CheckVerdict:
+    """check_lemma3, given the class d1 of d under the vector a_d."""
     name = f"lemma3(d={d})"
     n = modulus.n
-    a_d = assignment.vector_for(d)
     facs = modulus.divisor_factorization(d)
-    _, d1 = cyclotomy.generalized_classes(facs, a_d)
     k = n // d
     split = crt_split(modulus, d)
     _, i1 = cyclotomy.index_sets(a_d)
@@ -256,17 +279,27 @@ def all_checks(
     Checks that require a field are reported as not applicable when none is
     supplied (extension degree above the cap).
     """
-    divisors = modulus.divisors_gt1()
-    out = [check_lemma1(modulus, d, assignment.vector_for(d)) for d in divisors]
-    out += [check_lemma2(modulus, assignment, d, field) for d in divisors]
+    lemma1, lemma2, lemma3 = [], [], []
+    g = numtheory.combined_root(modulus)
+    for d in modulus.divisors_gt1():
+        a_d = assignment.vector_for(d)
+        odd = sum(a_d) % 2
+        # one class pair per divisor serves all three lemmas
+        classes = _classes(modulus, d, a_d) if odd or field is not None else None
+        if odd:
+            lemma1.append(_lemma1_verdict(d, classes, g))
+            lemma2.append(_lemma2_verdict(modulus, d, classes, g, field))
+        else:
+            lemma1.append(check_lemma1(modulus, d, a_d))
+            lemma2.append(check_lemma2(modulus, assignment, d, field))
+        if field is not None:
+            lemma3.append(_lemma3_verdict(modulus, d, a_d, classes[1], field))
+        else:
+            lemma3.append(CheckVerdict(f"lemma3(d={d})", False, None, "field unavailable"))
+    out = lemma1 + lemma2 + lemma3
     if field is not None:
-        out += [check_lemma3(modulus, assignment, d, field) for d in divisors]
         out.append(check_lemma4(modulus, field))
     else:
-        out += [
-            CheckVerdict(f"lemma3(d={d})", False, None, "field unavailable")
-            for d in divisors
-        ]
         out.append(CheckVerdict("lemma4", False, None, "field unavailable"))
     if _has_even_vector(modulus, assignment):
         out.append(check_theorem1(modulus, assignment, field))

@@ -5,7 +5,8 @@ became one packed int, the classes built from powers of a primitive root
 (the package decides every class from the chi_p tables instead), the per-v
 spectral sweeps the checks used before they shared the orbit-reduced
 engine, the one-shot Euclid the gcd route ran before it split x^n + 1
-into cyclotomic blocks, and small helpers only tests need; tests compare
+into cyclotomic blocks, a per-block Euclid for the blocks the rank route
+counts, and small helpers only tests need; tests compare
 the fast routes against them.
 """
 
@@ -210,13 +211,29 @@ def eval_poly(f: int, x: int, field) -> int:
     return acc
 
 
-# --- the one-shot gcd route --------------------------------------------------
+# --- the Euclid gcd routes ---------------------------------------------------
 
 
 def lincomp_gcd_euclid(seq) -> lincomp.LinComplexityResult:
     """n minus deg gcd(S, x^n + 1), by one Euclid on the whole period."""
     zero_count = gf2poly.degree(gf2poly.gcd(seq.packed, (1 << seq.n) | 1))
     return lincomp.LinComplexityResult(seq.n - zero_count, lincomp.GCD, zero_count)
+
+
+def block_counts_euclid(packed: int, n: int) -> dict[int, int]:
+    """deg gcd(S mod Phi_d, Phi_d) for every d | n: S folded to length d by
+    a plain chunk loop, reduced by long division, then one Euclid."""
+    counts = {}
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        s_d, rest = 0, packed
+        while rest:
+            s_d ^= rest & ((1 << d) - 1)
+            rest >>= d
+        phi_d = cyclotomic_by_division(d)
+        counts[d] = gf2poly.degree(gf2poly.gcd(divmod_(s_d, phi_d)[1], phi_d))
+    return counts
 
 
 @functools.cache

@@ -9,12 +9,12 @@ from dhseq import gf2poly, lincomp
 from dhseq.cli import main
 from dhseq.cyclotomy import VectorAssignment
 from dhseq.errors import MethodDisagreement
-from dhseq.lincomp import block_zero_counts, lincomp_bm, lincomp_gcd
-from dhseq.numtheory import factorize, validate_modulus
+from dhseq.lincomp import block_zero_counts, lincomp_bm, lincomp_gcd, orbit_kernel
+from dhseq.numtheory import factorize, h_orbits, validate_modulus
 from dhseq.sequence import RawPeriod, delta, generate
 
 from conftest import valid_moduli
-from oracles import cyclotomic_by_division, divmod_, lincomp_gcd_euclid
+from oracles import block_counts_euclid, cyclotomic_by_division, divmod_, lincomp_gcd_euclid
 
 
 def primes_of(d):
@@ -152,3 +152,148 @@ def test_even_raw_periods_take_euclid_and_match_bm(tmp_path, capsys, bits):
     assert lincomp_gcd(seq) == lincomp_gcd_euclid(seq)
     assert main(["lincomp", "--sequence", str(f), "--method", "gcd"]) == 0
     assert capsys.readouterr().out == f"L[gcd] = {want}\n"
+
+
+# --- the rank route ------------------------------------------------------------
+
+
+def omega(d):
+    return len(primes_of(d))
+
+
+def orbit_zeros_from_counts(counts, d):
+    """The H-orbits of d-th roots of unity where S vanishes, from per-block
+    counts: block e holds 2^omega(e) orbits of phi(e)/2^omega(e) roots."""
+    total = 0
+    for e, count in counts.items():
+        if d % e == 0:
+            size = phi(e) >> omega(e)
+            assert count % size == 0, (d, e, count)
+            total += count // size
+    return total
+
+
+def assert_kernels_match_euclid(packed, n):
+    counts = block_counts_euclid(packed, n)
+    for d in counts:
+        kernel = orbit_kernel(gf2poly.fold(packed, d), d, factorize(d))
+        assert kernel == orbit_zeros_from_counts(counts, d), (n, d)
+
+
+def odd_sum_assignment(m, rng):
+    vectors = {}
+    for d in m.divisors_gt1():
+        bits = [rng.randrange(2) for _ in m.divisor_factorization(d)[1:]]
+        vectors[d] = tuple(bits) + (1 - sum(bits) % 2,)
+    return VectorAssignment(m, vectors)
+
+
+def test_orbit_kernel_matches_euclid_blocks_to_2000():
+    for m in valid_moduli(2000):
+        rng = random.Random(m.n)
+        for a in (
+            VectorAssignment.default(m),
+            VectorAssignment.all_ones_top(m),
+            odd_sum_assignment(m, rng),
+        ):
+            assert_kernels_match_euclid(generate(m, a).packed, m.n)
+
+
+MULTI_PRIME = [n for n in range(15, 600, 2) if omega(n) >= 2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_orbit_unions_match_euclid(data):
+    n = data.draw(st.sampled_from(MULTI_PRIME))
+    orbits = h_orbits(n)
+    chosen = data.draw(st.integers(min_value=0, max_value=(1 << len(orbits.reps)) - 1))
+    packed = sum(1 << v for v, k in enumerate(orbits.labels) if chosen >> k & 1)
+    assert_kernels_match_euclid(packed, n)
+    assert lincomp_gcd(RawPeriod(packed, n)) == lincomp_gcd_euclid(RawPeriod(packed, n))
+
+
+def spy(monkeypatch, module, name):
+    """Wrap module.name so each call's arguments and result are recorded."""
+    calls = []
+    real = getattr(module, name)
+
+    def recorded(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+# The block of the prime 4643 takes the rank route (3 orbits, 9 * 512 <=
+# 4643), and Phi_4643 is reducible: ord_4643(2) = 422, and its orbit size
+# 2321 is no multiple of 422, so an off-by-one kernel breaks the guard.
+# 131*317 has 9 orbits (81 * 512 <= 41527).
+RANK_ROUTE_MODULI = [[(4643, 1)], [(131, 1), (317, 1)]]
+
+
+@pytest.mark.parametrize("factors", RANK_ROUTE_MODULI)
+def test_flipped_and_rotated_periods_fall_back_to_euclid(factors, monkeypatch):
+    m = validate_modulus(factors)
+    n = m.n
+    packed = generate(m, VectorAssignment.default(m)).packed
+    kernels = spy(monkeypatch, lincomp, "orbit_kernel")
+    euclid = spy(monkeypatch, gf2poly, "gcd")
+    block_zero_counts(packed, n)
+    assert [args[1] for args, out in kernels if out is not None] == [n]
+    assert phi(n) not in [gf2poly.degree(args[1]) for args, _ in euclid]
+    rotated = (packed << 5 | packed >> (n - 5)) & ((1 << n) - 1)
+    for other in (packed ^ 2, rotated):
+        kernels.clear()
+        euclid.clear()
+        assert block_zero_counts(other, n) == block_counts_euclid(other, n)
+        assert [args[1] for args, out in kernels if out is None] == [n]
+        assert phi(n) in [gf2poly.degree(args[1]) for args, _ in euclid]
+
+
+def test_lincomp_gcd_at_1019_1031():
+    m = validate_modulus([(1019, 1), (1031, 1)])
+    assert lincomp_gcd(generate(m, VectorAssignment.default(m))).L == 1_050_074
+
+
+@pytest.mark.parametrize("factors", [[(499, 1), (503, 1)], [(5, 1), (7, 1), (11351, 1)]])
+def test_large_top_blocks_make_no_euclid_call(factors, monkeypatch):
+    m = validate_modulus(factors)
+    euclid = spy(monkeypatch, gf2poly, "gcd")
+    kernels = spy(monkeypatch, lincomp, "orbit_kernel")
+    lincomp_gcd(generate(m, VectorAssignment.default(m)))
+    assert phi(m.n) not in [gf2poly.degree(args[1]) for args, _ in euclid]
+    assert kernels[-1][0][1] == m.n and kernels[-1][1] is not None
+
+
+def test_survey_and_verify_moduli_keep_their_routes(monkeypatch):
+    kernels = spy(monkeypatch, lincomp, "orbit_kernel")
+    for m in valid_moduli(3309):
+        block_zero_counts(0, m.n)
+    assert kernels == []
+    block_zero_counts(0, 4643)
+    assert [args[1] for args, _ in kernels] == [4643]
+
+
+def _off_by_one_kernel(real):
+    def kernel(s, d, factors):
+        return real(s, d, factors) + 1
+
+    return kernel
+
+
+def test_rank_count_off_the_order_of_two_raises(monkeypatch):
+    monkeypatch.setattr(lincomp, "orbit_kernel", _off_by_one_kernel(lincomp.orbit_kernel))
+    m = validate_modulus([(4643, 1)])
+    with pytest.raises(MethodDisagreement, match="ord_4643"):
+        lincomp_gcd(generate(m, VectorAssignment.default(m)))
+
+
+def test_rank_count_guard_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(lincomp, "orbit_kernel", _off_by_one_kernel(lincomp.orbit_kernel))
+    code = main(["lincomp", "--method", "gcd", "--factors", "4643:1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "ord_4643(2) = 422" in captured.err and captured.out == ""

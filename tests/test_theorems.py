@@ -341,3 +341,39 @@ def test_all_checks_generates_and_measures_gcd_once(monkeypatch, factors, overri
     lemma4 = int(verdicts[-3].applicable)
     assert calls == Counter(generate=generated + lemma4, lincomp_gcd=generated)
     assert verdicts[-2:] == separate
+
+
+@pytest.mark.parametrize(
+    "factors, overrides, with_field",
+    [
+        ([(3, 1), (5, 1), (7, 1), (11, 1)], None, True),
+        ([(3, 1), (5, 1), (7, 1)], "105:110\n15:11", True),  # two even-sum divisors
+        ([(3, 1), (5, 1), (7, 1)], "105:110\n15:11", False),
+        ([(3, 2), (5, 1)], None, False),
+    ],
+)
+def test_all_checks_builds_each_class_pair_once(monkeypatch, factors, overrides, with_field):
+    from dhseq import cyclotomy
+
+    m = validate_modulus(factors)
+    assignment = VectorAssignment.parse_spec(m, overrides or "")
+    field = build_field(m.n) if with_field else None
+    divisors = m.divisors_gt1()
+    separate = [check_lemma1(m, d, assignment.vector_for(d)) for d in divisors]
+    separate += [check_lemma2(m, assignment, d, field) for d in divisors]
+    if field is not None:
+        separate += [check_lemma3(m, assignment, d, field) for d in divisors]
+    calls = []
+    real = cyclotomy.generalized_classes
+
+    def counted(facs, a_d):
+        calls.append((tuple(facs), tuple(a_d)))
+        return real(facs, a_d)
+
+    monkeypatch.setattr(cyclotomy, "generalized_classes", counted)
+    verdicts = theorems.all_checks(m, assignment, field)
+    assert verdicts[: len(separate)] == separate
+    # one pair per divisor that any lemma needs, plus lemma3's per-factor classes
+    needed = [d for d in divisors if field is not None or sum(assignment.vector_for(d)) % 2]
+    per_factor = sum(len(m.divisor_factorization(d)) for d in divisors) if field else 0
+    assert len(calls) == len(needed) + per_factor
