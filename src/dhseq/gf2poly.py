@@ -8,13 +8,11 @@ zero polynomial instead of a sentinel that could leak into arithmetic.
 from __future__ import annotations
 
 import functools
-import os
 
 from . import numtheory
 from .errors import BothZero, DegreeCapExceeded
 
 DEFAULT_DEGREE_CAP = 64
-_DEGREE_CAP_ENV = "DHSEQ_DEGREE_CAP"
 
 
 def degree(a: int):
@@ -257,7 +255,7 @@ def build_field(n: int, degree_cap: int | None = None) -> BinaryField:
     coefficient value, starting at x) whose power has order exactly n.
     """
     if degree_cap is None:
-        degree_cap = int(os.environ.get(_DEGREE_CAP_ENV, DEFAULT_DEGREE_CAP))
+        degree_cap = DEFAULT_DEGREE_CAP
     m = numtheory.order_of_two(n)
     if m > degree_cap:
         raise DegreeCapExceeded(n, m, degree_cap)

@@ -7,6 +7,7 @@ periods read from disk get the same treatment as constructed sequences.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -53,9 +54,7 @@ def lincomp_gcd(seq) -> LinComplexityResult:
 # orbits(d)^2 * _RANK_COST <= d; any other non-irreducible block runs
 # Euclid. Euclid costs about d^2 bit operations and the rank route about
 # orbits(d)^2 * d, but the rank route pays more per step, so no block below
-# 9 * _RANK_COST = 4608 takes it (no block of a survey period does). For
-# d < 2^24 the rule also bounds orbits(d) by 181, so orbit labels fit in
-# one byte each.
+# 9 * _RANK_COST = 4608 takes it (no block of a survey period does).
 _RANK_COST = 512
 
 
@@ -130,25 +129,39 @@ def orbit_kernel(s: int, d: int, factors) -> int | None:
     An H-invariant S_d lies in the algebra spanned by the orbit sums
     theta_B of GF(2)[x]/(x^d + 1), and multiplication by it is a k x k
     matrix over GF(2), k the number of orbits: entry (C, B), the
-    coefficient of x^c in S_d * theta_B for c the least member of C, is
-    the parity of |S_d & (c - B)|, and c - B is the orbit -B rotated by c.
-    Over a field holding the d-th roots of unity that algebra is the
-    functions on the orbits, so the kernel dimension k - rank counts the
-    orbits where S vanishes. The labels take d bytes, and one d-bit mask
-    of -B is alive at a time. A mask that meets S_d in part (the test
-    lincomp.spectrum makes) ends the route.
+    coefficient of x^c in S_d * theta_B for any c in C, is the parity of
+    |S_d & (c + A)| with A = -B. Over a field holding the d-th roots of
+    unity that algebra is the functions on the orbits, so the kernel
+    dimension k - rank counts the orbits where S vanishes. The columns are
+    built over A, which only reorders them.
+
+    By CRT an orbit is one label of numtheory.prime_power_labels per prime
+    power q || d, and its mask is the AND of their masks, each tiled from q
+    to d bits by doubling shifts. One d-bit orbit mask is alive at a time.
+    A mask that meets S_d in part (the test lincomp.spectrum makes) ends
+    the route.
     """
-    labels, k = numtheory.orbit_label_buffer(factors, "B")
-    reps = [labels.find(b) for b in range(k)]
-    table = bytearray(b"0" * 256)
+    # reversed, so that parsed in base 2 the label of x lands at bit x
+    tables = [numtheory.prime_power_labels(p, l)[::-1] for p, l in factors]
+    orbits = list(itertools.product(*(range(2 * l + 1) for _, l in factors)))
+    # the rows: x * d/q summed over the least member x of each label (the
+    # last byte of its reversed table). d/q is a unit mod q, so by CRT this
+    # gives one member of every orbit, in another order, which leaves the
+    # rank alone as the column order does
+    reps = [
+        sum((len(t) - 1 - t.rfind(b)) * (d // len(t)) for b, t in zip(orbit, tables)) % d
+        for orbit in orbits
+    ]
     columns = []
-    for b in range(k):
-        table[b] = ord("1")
-        # parsed in base 2, the label of d - 1 - x lands at bit x; rotating
-        # left by one puts the label of -x there
-        mask = int(labels.translate(table), 2)
-        table[b] = ord("0")
-        mask = (mask << 1 | mask >> (d - 1)) & ((1 << d) - 1)
+    for orbit in orbits:
+        mask = (1 << d) - 1
+        for b, t in zip(orbit, tables):
+            q = len(t)
+            tile = int(t.translate(b"0" * b + b"1" + b"0" * (255 - b)), 2)
+            while q < d:
+                tile |= tile << q
+                q *= 2
+            mask &= tile
         hit = s & mask
         if hit and hit != mask:
             return None
@@ -158,7 +171,7 @@ def orbit_kernel(s: int, d: int, factors) -> int | None:
             parity = (s & mask << c).bit_count() + (s & mask >> (d - c)).bit_count()
             column |= (parity & 1) << i
         columns.append(column)
-    return k - gf2poly.rank(columns)
+    return len(orbits) - gf2poly.rank(columns)
 
 
 class Spectrum:

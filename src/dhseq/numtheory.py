@@ -9,7 +9,6 @@ arrive factored; only totients and small survey inputs get factored here).
 from __future__ import annotations
 
 import math
-import struct
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -257,55 +256,43 @@ class HOrbits(NamedTuple):
     sizes: tuple[int, ...]
 
 
-def orbit_label_buffer(factors, fmt: str) -> tuple[bytearray, int]:
-    """The H-orbit labels of Z_n, n the product of the odd (prime,
-    exponent) pairs, as one native struct item of format fmt per v, and
-    the number of labels.
+def prime_power_labels(p: int, l: int) -> bytearray:
+    """The H-orbit of each x in Z_{p^l}, p an odd prime: byte x is 0 for
+    x = 0, otherwise 1 + 2 v + chi_p(x / p^v) with v = v_p(x), so there
+    are 2l + 1 labels.
 
-    The divisor blocks (n/d)*Z_d are written at stride n/d in decreasing
-    order of d, as in sequence.generate, so every v keeps the label of its
-    own block. Within block d, x gets the block's first label plus the bits
-    chi_p(x mod p) << j over the primes p_j of d. Each block is built as
-    one int of items, one item per x, so the work runs at C speed. Label 0
-    is v = 0, and the labels are numbered block by block, not by least
-    member; the caller picks an fmt wide enough for the count.
+    The multiples of p^v are written at stride p^v for v = 0, 1, ..., each
+    pass overwriting those of p^(v+1), from chi_p translated to the labels
+    of valuation v and repeated at C speed.
     """
-    n = math.prod(p**e for p, e in factors)
-    word = struct.calcsize(fmt)
-    order = sys.byteorder
-    chi = {}
-    for p, _ in factors:
-        items = bytearray(word * p)
-        items[(0 if order == "little" else word - 1) :: word] = nonsquare_table(p)
-        chi[p] = int.from_bytes(items, order)
-    buf = bytearray(word)  # n = 1 has the one label 0
-    count = 1
-    for d in reversed(divisors(factors)[1:]):
-        primes = [p for p, _ in factors if d % p == 0]
-        block = int.from_bytes(count.to_bytes(word, order) * d, order)
-        for j, p in enumerate(primes):
-            table = (chi[p] << j).to_bytes(word * p, order)
-            block += int.from_bytes(table * (d // p), order)
-        items = block.to_bytes(word * d, order)
-        del block
-        if d == n:
-            # the first block covers Z_n; building it before the buffer
-            # exists keeps the peak at three block-sized ints
-            buf = bytearray(items)
-        else:
-            memoryview(buf).cast(fmt)[:: n // d] = memoryview(items).cast(fmt)
-        count += 1 << len(primes)
-    memoryview(buf).cast(fmt)[0] = 0  # label 0 is v = 0
-    return buf, count
+    chi = nonsquare_table(p)
+    labels = bytearray(p**l)
+    for v in range(l):
+        pair = bytes((2 * v + 1, 2 * v + 2)) + bytes(254)
+        labels[:: p**v] = chi.translate(pair) * p ** (l - 1 - v)
+    labels[0] = 0
+    return labels
 
 
 def h_orbits(n: int) -> HOrbits:
-    """Label every v in Z_n with its H-orbit (orbit_label_buffer, then
-    renumbered by least member)."""
+    """Label every v in Z_n with its H-orbit.
+
+    By CRT the orbit of v is the tuple of the orbits of v mod p^l
+    (prime_power_labels), read as a mixed-radix number: each table, spread
+    to native 4-byte items and tiled over Z_n, is one int, and the ints sum
+    without carries. The labels are then renumbered by least member.
+    """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"H-orbits need an odd n >= 1, got {n}")
-    buf, count = orbit_label_buffer(factorize(n), "I")
-    labels = memoryview(buf).cast("I").tolist()
+    order = sys.byteorder
+    total, count = 0, 1
+    for p, l in factorize(n):
+        q = p**l
+        items = bytearray(4 * q)
+        items[(0 if order == "little" else 3) :: 4] = prime_power_labels(p, l)
+        total += int.from_bytes(items * (n // q), order) * count
+        count *= 2 * l + 1
+    labels = memoryview(total.to_bytes(4 * n, order)).cast("I").tolist()
     # renumber by least member: dict keys keep first-occurrence order
     renumber = [0] * count
     for k, label in enumerate(dict.fromkeys(labels)):

@@ -230,8 +230,9 @@ def spy(monkeypatch, module, name):
 # The block of the prime 4643 takes the rank route (3 orbits, 9 * 512 <=
 # 4643), and Phi_4643 is reducible: ord_4643(2) = 422, and its orbit size
 # 2321 is no multiple of 422, so an off-by-one kernel breaks the guard.
-# 131*317 has 9 orbits (81 * 512 <= 41527).
-RANK_ROUTE_MODULI = [[(4643, 1)], [(131, 1), (317, 1)]]
+# 131*317 has 9 orbits (81 * 512 <= 41527). 7^6 has 13 (169 * 512 <=
+# 117649), and only its top block takes the route.
+RANK_ROUTE_MODULI = [[(4643, 1)], [(131, 1), (317, 1)], [(7, 6)]]
 
 
 @pytest.mark.parametrize("factors", RANK_ROUTE_MODULI)
@@ -258,7 +259,9 @@ def test_lincomp_gcd_at_1019_1031():
     assert lincomp_gcd(generate(m, VectorAssignment.default(m))).L == 1_050_074
 
 
-@pytest.mark.parametrize("factors", [[(499, 1), (503, 1)], [(5, 1), (7, 1), (11351, 1)]])
+@pytest.mark.parametrize(
+    "factors", [[(499, 1), (503, 1)], [(5, 1), (7, 1), (11351, 1)], [(3, 2), (12899, 1)]]
+)
 def test_large_top_blocks_make_no_euclid_call(factors, monkeypatch):
     m = validate_modulus(factors)
     euclid = spy(monkeypatch, gf2poly, "gcd")

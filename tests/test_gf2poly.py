@@ -207,14 +207,6 @@ def test_degree_cap():
         build_field(131, degree_cap=64)  # order of 2 mod 131 is 130
 
 
-def test_degree_cap_env(monkeypatch):
-    monkeypatch.setenv("DHSEQ_DEGREE_CAP", "4")
-    with pytest.raises(DegreeCapExceeded):
-        build_field(21)
-    monkeypatch.setenv("DHSEQ_DEGREE_CAP", "6")
-    assert build_field(21).m == 6
-
-
 def test_eval_poly():
     f = build_field(21)
     all_ones = (1 << 21) - 1

@@ -50,9 +50,12 @@ def h_group(n: int) -> list[int]:
     ]
 
 
-@pytest.mark.parametrize("n", [3, 9, 15, 21, 27, 45, 63, 105, 225, 231, 243, 255])
+@pytest.mark.parametrize(
+    "n", [3, 9, 15, 21, 27, 45, 63, 81, 105, 125, 225, 231, 243, 255, 343, 1575]
+)
 def test_orbits_are_the_h_orbits(n):
-    # 45, 63, 225 and 255 are not valid periods: the orbits exist for any odd n
+    # 45, 63, 225, 255 and 1575 = 3^2*5^2*7 are not valid periods: the
+    # orbits exist for any odd n
     orbits = h_orbits(n)
     h = h_group(n)
     members = {}
