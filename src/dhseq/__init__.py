@@ -3,14 +3,8 @@
 from .cyclotomy import VectorAssignment, generalized_classes, index_sets
 from .errors import DHSeqError
 from .gf2poly import BinaryField, berlekamp_massey, build_field
-from .lincomp import (
-    LinComplexityResult,
-    lincomp_bm,
-    lincomp_gcd,
-    lincomp_spectral,
-)
+from .lincomp import lincomp_bm, lincomp_gcd, lincomp_spectral
 from .numtheory import (
-    CrtView,
     Modulus,
     combined_root,
     crt_combine,
@@ -22,7 +16,6 @@ from .numtheory import (
 from .sequence import DHSequence, RawPeriod, delta, generate
 from .theorems import (
     CheckVerdict,
-    CrtSplitCoefficients,
     check_corollary,
     check_lemma1,
     check_lemma2,
@@ -38,11 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryField",
     "CheckVerdict",
-    "CrtSplitCoefficients",
-    "CrtView",
     "DHSeqError",
     "DHSequence",
-    "LinComplexityResult",
     "Modulus",
     "RawPeriod",
     "VectorAssignment",

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import gf2poly, lincomp, numtheory, sequence, theorems
@@ -89,6 +88,9 @@ def cmd_generate(args) -> int:
 
 def _load_period(args):
     if args.sequence:
+        # a raw period has no modulus or assignment, so these would be ignored
+        if args.factors or args.default or args.all_ones_top or args.spec or args.assignment:
+            raise DHSeqError("--sequence cannot be combined with --factors or an assignment option")
         return sequence.parse_bit_line(Path(args.sequence).read_text())
     if not args.factors:
         raise DHSeqError("either --sequence or --factors is required")
@@ -102,9 +104,9 @@ def cmd_lincomp(args) -> int:
     results: dict[str, int] = {}
     for method in wanted:
         if method == "bm":
-            results["bm"] = lincomp.lincomp_bm(seq).L
+            results["bm"] = lincomp.lincomp_bm(seq)
         elif method == "gcd":
-            results["gcd"] = lincomp.lincomp_gcd(seq).L
+            results["gcd"] = lincomp.lincomp_gcd(seq)
         else:
             try:
                 if seq.n % 2 == 0 or seq.n == 1:
@@ -115,7 +117,7 @@ def cmd_lincomp(args) -> int:
                     raise
                 print("L[spectral] skipped: field unavailable")
                 continue
-            results["spectral"] = lincomp.lincomp_spectral(seq, field).L
+            results["spectral"] = lincomp.lincomp_spectral(seq, field)
     for method in ("bm", "gcd", "spectral"):
         if method in results:
             print(f"L[{method}] = {results[method]}")
@@ -177,21 +179,6 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAILED
 
 
-@dataclass(frozen=True)
-class SurveyRow:
-    n: int
-    factors: str
-    assignment: str
-    delta: int
-    L_bm: int
-    L_gcd: int
-    L_spectral: int | None
-    theorem1_applicable: bool
-    theorem1_holds: bool | None
-    predicted_L: int | None
-    prediction_match: bool | None
-
-
 CSV_HEADER = [
     "n",
     "factors",
@@ -215,18 +202,18 @@ def _cell(value) -> str:
     return str(value)
 
 
-def survey_row(modulus: Modulus, assignment: VectorAssignment, degree_cap=None) -> SurveyRow:
-    """One survey measurement; raises MethodDisagreement when BM or the
-    spectral route disagrees with gcd."""
+def survey_row(modulus: Modulus, assignment: VectorAssignment, degree_cap=None) -> dict:
+    """One survey measurement, keyed by CSV_HEADER in header order; raises
+    MethodDisagreement when BM or the spectral route disagrees with gcd."""
     seq = sequence.generate(modulus, assignment)
-    l_bm = lincomp.lincomp_bm(seq).L
-    l_gcd = lincomp.lincomp_gcd(seq).L
+    l_bm = lincomp.lincomp_bm(seq)
+    l_gcd = lincomp.lincomp_gcd(seq)
     if l_bm != l_gcd:
         raise MethodDisagreement(f"BM/GCD disagreement at n={modulus.n}: {l_bm} vs {l_gcd}")
     l_spec = None
     try:
         field = gf2poly.build_field(modulus.n, degree_cap)
-        l_spec = lincomp.lincomp_spectral(seq, field).L
+        l_spec = lincomp.lincomp_spectral(seq, field)
     except DegreeCapExceeded:
         pass
     if l_spec is not None and l_spec != l_gcd:
@@ -246,25 +233,25 @@ def survey_row(modulus: Modulus, assignment: VectorAssignment, degree_cap=None) 
             modulus.factors[0][0], modulus.factors[1][0]
         )
         match = l_gcd == predicted
-    return SurveyRow(
-        n=modulus.n,
-        factors=modulus.factor_string(),
-        assignment=assignment.spec_string(),
-        delta=delta(modulus.n),
-        L_bm=l_bm,
-        L_gcd=l_gcd,
-        L_spectral=l_spec,
-        theorem1_applicable=th1.applicable,
-        theorem1_holds=th1.holds,
-        predicted_L=predicted,
-        prediction_match=match,
-    )
+    return {
+        "n": modulus.n,
+        "factors": modulus.factor_string(),
+        "assignment": assignment.spec_string(),
+        "delta": delta(modulus.n),
+        "L_bm": l_bm,
+        "L_gcd": l_gcd,
+        "L_spectral": l_spec,
+        "theorem1_applicable": th1.applicable,
+        "theorem1_holds": th1.holds,
+        "predicted_L": predicted,
+        "prediction_match": match,
+    }
 
 
 def cmd_survey(args) -> int:
     if args.max_n > args.cap:
         raise DHSeqError(f"--max-n {args.max_n} exceeds the survey cap {args.cap}")
-    rows: list[SurveyRow] = []
+    rows = []
     for modulus in numtheory.enumerate_valid_moduli(args.max_n):
         if args.mode == "two-primes-11":
             if modulus.t != 2 or any(e != 1 for _, e in modulus.factors):
@@ -273,29 +260,16 @@ def cmd_survey(args) -> int:
         else:
             assignment = VectorAssignment.default(modulus)
         rows.append(survey_row(modulus, assignment, args.degree_cap))
-    rows.sort(key=lambda r: (r.n, r.factors))
+    rows.sort(key=lambda r: (r["n"], r["factors"]))
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    _cell(r.n),
-                    _cell(r.factors),
-                    _cell(r.assignment),
-                    _cell(r.delta),
-                    _cell(r.L_bm),
-                    _cell(r.L_gcd),
-                    _cell(r.L_spectral),
-                    _cell(r.theorem1_applicable),
-                    _cell(r.theorem1_holds),
-                    _cell(r.predicted_L),
-                    _cell(r.prediction_match),
-                ]
-            )
+        # DictWriter raises on a key outside CSV_HEADER
+        writer = csv.DictWriter(fh, CSV_HEADER)
+        writer.writeheader()
+        writer.writerows({k: _cell(v) for k, v in r.items()} for r in rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     bad = any(
-        r.prediction_match is False or (r.theorem1_applicable and r.theorem1_holds is False)
+        r["prediction_match"] is False
+        or (r["theorem1_applicable"] and r["theorem1_holds"] is False)
         for r in rows
     )
     return EXIT_CHECK_FAILED if bad else EXIT_OK

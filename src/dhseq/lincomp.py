@@ -11,31 +11,19 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import gf2poly, numtheory
 from .errors import MethodDisagreement
 from .gf2poly import BinaryField
 
-BM = "BM"
-GCD = "GCD"
-SPECTRAL = "SPECTRAL"
 
-
-@dataclass(frozen=True)
-class LinComplexityResult:
-    L: int
-    method: str
-    zero_count: int | None = None
-
-
-def lincomp_bm(seq) -> LinComplexityResult:
+def lincomp_bm(seq) -> int:
     """Shortest-LFSR length, measured on two concatenated periods."""
     n, s = seq.n, seq.packed
-    return LinComplexityResult(gf2poly.berlekamp_massey(s | s << n, 2 * n), BM)
+    return gf2poly.berlekamp_massey(s | s << n, 2 * n)
 
 
-def lincomp_gcd(seq) -> LinComplexityResult:
+def lincomp_gcd(seq) -> int:
     """n minus the degree of gcd(S, x^n + 1).
 
     For odd n the gcd is taken block by block over x^n + 1 = the product of
@@ -47,7 +35,7 @@ def lincomp_gcd(seq) -> LinComplexityResult:
         zero_count = sum(block_zero_counts(seq.packed, n).values())
     else:
         zero_count = gf2poly.gcd(seq.packed, (1 << n) | 1).bit_length() - 1
-    return LinComplexityResult(n - zero_count, GCD, zero_count)
+    return n - zero_count
 
 
 # A block whose S_d is a union of H-orbits takes the rank route when
@@ -182,8 +170,8 @@ class Spectrum:
     BinaryField.orbits() and S is constant on each; otherwise every v is
     its own orbit. Either way reps[k] is the least member of orbit k,
     ascending, values[k] = S(alpha^reps[k]), and labels[v] is the orbit
-    of v. (A plain class: a dataclass here would cost a millisecond of
-    import time.)
+    of v. (A plain class: a frozen record class here would cost a
+    millisecond of import time.)
     """
 
     __slots__ = ("reduced", "reps", "values", "labels")
@@ -238,7 +226,6 @@ def spectral_values(seq, field: BinaryField) -> list[int]:
     return list(map(spec.values.__getitem__, spec.labels))
 
 
-def lincomp_spectral(seq, field: BinaryField) -> LinComplexityResult:
+def lincomp_spectral(seq, field: BinaryField) -> int:
     """Root-counting form: n minus the count of v with S(alpha^v) = 0."""
-    zeros = spectral_values(seq, field).count(0)
-    return LinComplexityResult(seq.n - zeros, SPECTRAL, zeros)
+    return seq.n - spectral_values(seq, field).count(0)

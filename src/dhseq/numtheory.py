@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -157,21 +158,15 @@ def validate_modulus(factor_list) -> Modulus:
     return Modulus(tuple(factors), n)
 
 
-@dataclass(frozen=True)
-class CrtView:
-    """Residues of some x modulo each prime-power factor, ascending primes."""
-
-    residues: tuple[int, ...]
-
-
-def crt_combine(view: CrtView, modulus: Modulus) -> int:
-    """Least nonnegative x congruent to every residue in the view."""
+def crt_combine(residues: Sequence[int], modulus: Modulus) -> int:
+    """Least nonnegative x congruent to residues[k] modulo the k-th
+    prime-power factor of n, ascending primes."""
     qs = modulus.prime_powers()
-    if len(view.residues) != len(qs):
+    if len(residues) != len(qs):
         raise ValueError("one residue per prime-power factor required")
     n = modulus.n
     x = 0
-    for r, q in zip(view.residues, qs):
+    for r, q in zip(residues, qs):
         m = n // q
         x += r * m * pow(m, -1, q)
     return x % n
@@ -196,8 +191,7 @@ def primitive_root(p: int, e: int = 1) -> int:
 
 def combined_root(modulus: Modulus) -> int:
     """CRT combination of the per-factor smallest primitive roots."""
-    view = CrtView(tuple(primitive_root(p, e) for p, e in modulus.factors))
-    return crt_combine(view, modulus)
+    return crt_combine([primitive_root(p, e) for p, e in modulus.factors], modulus)
 
 
 def carmichael(n: int) -> int:

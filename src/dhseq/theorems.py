@@ -117,7 +117,7 @@ def check_theorem1(
 def _measure(modulus: Modulus, assignment: VectorAssignment) -> tuple[DHSequence, int]:
     """The generated period and its complexity by the gcd route."""
     seq = sequence.generate(modulus, assignment)
-    return seq, lincomp.lincomp_gcd(seq).L
+    return seq, lincomp.lincomp_gcd(seq)
 
 
 def _theorem1_verdict(
@@ -168,28 +168,21 @@ def _corollary_verdict(modulus: Modulus, L: int) -> CheckVerdict:
     return CheckVerdict("corollary", True, False, f"L={L}, expected {expected}")
 
 
-@dataclass(frozen=True)
-class CrtSplitCoefficients:
-    """Weights b_k writing n/d as a combination of the cofactors n/q_k.
+def crt_split(modulus: Modulus, d: int) -> tuple[int, ...]:
+    """Weights b_k writing n/d as a combination of the cofactors n/q_k, one
+    per prime power q_k of a divisor d > 1 of n (in the order of
+    modulus.divisor_factorization(d)), least nonnegative.
 
     Defining congruence: sum of b_k * (n/q_k) over the prime powers q_k of d
     equals n/d modulo n, with every b_k a unit modulo its q_k.
     """
-
-    d: int
-    prime_powers: tuple[int, ...]
-    coefficients: tuple[int, ...]
-
-
-def crt_split(modulus: Modulus, d: int) -> CrtSplitCoefficients:
-    """Split coefficients for a divisor d > 1 of n, least nonnegative."""
     facs = modulus.divisor_factorization(d)
     qs = tuple(p**l for p, l in facs)
     bs = tuple(pow(d // q, -1, q) for q in qs)
     n = modulus.n
     if sum(b * (n // q) for b, q in zip(bs, qs)) % n != n // d:
         raise MethodDisagreement(f"CRT split coefficients {bs} for d={d} miss n/d")
-    return CrtSplitCoefficients(d, qs, bs)
+    return bs
 
 
 def check_lemma3(
@@ -210,12 +203,9 @@ def _lemma3_verdict(modulus: Modulus, d: int, a_d, d1, field: BinaryField) -> Ch
     n = modulus.n
     facs = modulus.divisor_factorization(d)
     k = n // d
-    split = crt_split(modulus, d)
     _, i1 = cyclotomy.index_sets(a_d)
     factor_classes = [cyclotomy.generalized_classes(((p, l),), (1,)) for p, l in facs]
-    beta_exps = [
-        b * (n // q) % n for b, q in zip(split.coefficients, split.prime_powers)
-    ]
+    beta_exps = [b * (n // p**l) % n for b, (p, l) in zip(crt_split(modulus, d), facs)]
     lhs = lincomp.spectrum([k * x % n for x in d1], field)
     # factor_sums[j][b]: the class-b sum of factor j, as a spectrum in v
     factor_sums = [

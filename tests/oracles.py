@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from dhseq import cyclotomy, gf2poly, lincomp, numtheory, sequence
 from dhseq.cyclotomy import VectorAssignment
 from dhseq.errors import DHSeqError, ZeroVector
-from dhseq.numtheory import CrtView
 from dhseq.theorems import CheckVerdict, crt_split
 
 
@@ -172,9 +171,9 @@ def global_partition(modulus, assignment):
     return frozenset(c0), frozenset(c1)
 
 
-def crt_view(x: int, modulus) -> CrtView:
+def crt_view(x: int, modulus) -> tuple[int, ...]:
     """Residues of x modulo each prime-power factor, ascending primes."""
-    return CrtView(tuple(x % q for q in modulus.prime_powers()))
+    return tuple(x % q for q in modulus.prime_powers())
 
 
 def legendre(a: int, p: int) -> int:
@@ -214,10 +213,9 @@ def eval_poly(f: int, x: int, field) -> int:
 # --- the Euclid gcd routes ---------------------------------------------------
 
 
-def lincomp_gcd_euclid(seq) -> lincomp.LinComplexityResult:
+def lincomp_gcd_euclid(seq) -> int:
     """n minus deg gcd(S, x^n + 1), by one Euclid on the whole period."""
-    zero_count = gf2poly.degree(gf2poly.gcd(seq.packed, (1 << seq.n) | 1))
-    return lincomp.LinComplexityResult(seq.n - zero_count, lincomp.GCD, zero_count)
+    return seq.n - gf2poly.degree(gf2poly.gcd(seq.packed, (1 << seq.n) | 1))
 
 
 def block_counts_euclid(packed: int, n: int) -> dict[int, int]:
@@ -294,14 +292,11 @@ def lemma3_sweep(modulus, assignment, d, field) -> CheckVerdict:
     pair = classes_by_root(facs, a_d)
     k = n // d
     lhs_exps = [k * x % n for x in pair.d1]
-    split = crt_split(modulus, d)
     _, i1 = cyclotomy.index_sets(a_d)
     factor_classes = [
         prime_power_classes(p, l, numtheory.primitive_root(p, l)) for p, l in facs
     ]
-    beta_exps = [
-        b * (n // q) % n for b, q in zip(split.coefficients, split.prime_powers)
-    ]
+    beta_exps = [b * (n // p**l) % n for b, (p, l) in zip(crt_split(modulus, d), facs)]
     table = field.alpha_powers()
     for v in range(1, n):
         lhs = 0
@@ -352,7 +347,7 @@ def theorem1_sweep(modulus, assignment, field) -> CheckVerdict:
     seq = sequence.generate(modulus, assignment)
     n = modulus.n
     bound = (n + 1) // 2 - sequence.delta(n)
-    L = lincomp.lincomp_gcd(seq).L
+    L = lincomp.lincomp_gcd(seq)
     if L < bound:
         return CheckVerdict(name, True, False, f"L={L} below bound {bound}")
     values = spectral_values_sweep(seq, field)

@@ -53,8 +53,8 @@ def test_criterion_1_two_prime_closed_form():
         checked += 1
         predicted = predicted_L_two_primes(p1, p2)
         seq = generate(m, VectorAssignment.all_ones_top(m))
-        bm = lincomp_bm(seq).L
-        gc = lincomp_gcd(seq).L
+        bm = lincomp_bm(seq)
+        gc = lincomp_gcd(seq)
         if not (bm == gc == predicted):
             failures.append((m.n, bm, gc, predicted))
     assert checked >= 50
@@ -92,12 +92,12 @@ def test_criterion_4_method_equivalence():
         for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
             seq = generate(m, make(m))
             checked += 1
-            bm = lincomp_bm(seq).L
-            gc = lincomp_gcd(seq).L
+            bm = lincomp_bm(seq)
+            gc = lincomp_gcd(seq)
             if bm != gc:
                 failures.append((m.n, "bm/gcd", bm, gc))
             if order_of_two(m.n) <= 64:
-                sp = lincomp_spectral(seq, build_field(m.n)).L
+                sp = lincomp_spectral(seq, build_field(m.n))
                 if sp != gc:
                     failures.append((m.n, "spectral", sp, gc))
     report("4: BM = GCD (= SPECTRAL when buildable), n<=500, two assignments", failures, checked)

@@ -94,6 +94,17 @@ def test_lincomp_from_sequence_file(tmp_path, capsys):
     assert "L[bm] = 1" in out
 
 
+@pytest.mark.parametrize("extra", [("--factors", "3:1,7:1"), ("--all-ones-top",)])
+def test_lincomp_sequence_rejects_construction_options(tmp_path, capsys, extra):
+    # a raw period has no modulus or assignment: the options would be ignored
+    f = tmp_path / "ones.txt"
+    f.write_text("1" * 21 + "\n")
+    code, out, err = run(capsys, "lincomp", "--sequence", str(f), *extra, "--method", "gcd")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_lincomp_spectral_cap_exceeded(capsys):
     code, _, err = run(
         capsys,
@@ -322,8 +333,7 @@ def test_generate_out_matches_per_index_oracle(tmp_path, capsys):
 
 def _wrong_by_one(real):
     def wrong(*args, **kwargs):
-        r = real(*args, **kwargs)
-        return type(r)(r.L + 1, r.method, r.zero_count)
+        return real(*args, **kwargs) + 1
 
     return wrong
 
@@ -428,4 +438,31 @@ def test_survey_row_generates_and_measures_gcd_once(monkeypatch):
     m = validate_modulus([(3, 1), (5, 1), (7, 1)])
     row = cli.survey_row(m, VectorAssignment.default(m))
     assert calls == {"generate": 1, "lincomp_gcd": 1}
-    assert row.theorem1_applicable and row.theorem1_holds
+    assert row["theorem1_applicable"] and row["theorem1_holds"]
+
+
+@pytest.mark.parametrize(
+    "factors, make",
+    [
+        ([(3, 1), (7, 1)], "all_ones_top"),  # two-primes-11, prediction filled
+        ([(3, 1), (5, 1)], "default"),  # default-all, prediction empty
+    ],
+)
+def test_survey_row_keys_are_the_csv_header(factors, make):
+    from dhseq.cyclotomy import VectorAssignment
+    from dhseq.numtheory import validate_modulus
+
+    m = validate_modulus(factors)
+    row = cli.survey_row(m, getattr(VectorAssignment, make)(m))
+    assert list(row) == cli.CSV_HEADER
+    filled = make == "all_ones_top"
+    assert (row["predicted_L"] is not None) == filled
+    assert (row["prediction_match"] is not None) == filled
+
+
+def test_package_exports_resolve_once():
+    import dhseq
+
+    assert len(dhseq.__all__) == len(set(dhseq.__all__))
+    for name in dhseq.__all__:
+        assert hasattr(dhseq, name), name

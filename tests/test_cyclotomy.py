@@ -6,7 +6,7 @@ import pytest
 from dhseq import numtheory
 from dhseq.cyclotomy import VectorAssignment, generalized_classes, index_sets
 from dhseq.errors import AssignmentFormatError, MissingDivisorVector, ZeroVector
-from dhseq.numtheory import CrtView, crt_combine, validate_modulus
+from dhseq.numtheory import crt_combine, validate_modulus
 from dhseq.sequence import generate
 
 from conftest import valid_moduli
@@ -104,7 +104,7 @@ def crt_product_classes(factors, a_d):
         for tup in index_set:
             pools = [per[k].d0 if j == 0 else per[k].d1 for k, j in enumerate(tup)]
             for combo in product(*pools):
-                members.add(crt_combine(CrtView(combo), mod))
+                members.add(crt_combine(combo, mod))
         out.append(members)
     return out
 

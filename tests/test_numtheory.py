@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from dhseq import numtheory
 from dhseq.errors import EvenOrRepeatedPrime, GcdConditionViolated, NotPrime
 from dhseq.numtheory import (
-    CrtView,
     Modulus,
     carmichael,
     combined_root,
@@ -141,10 +140,10 @@ def test_primitive_root_rejects_nonprime():
 
 def test_crt_combine_examples():
     m = validate_modulus([(3, 1), (7, 1)])
-    x = crt_combine(CrtView((2, 3)), m)
+    x = crt_combine((2, 3), m)
     assert x == 17 and x % 3 == 2 and x % 7 == 3
-    assert crt_combine(CrtView((0, 0)), m) == 0
-    assert crt_combine(CrtView((1, 1)), m) == 1
+    assert crt_combine((0, 0), m) == 0
+    assert crt_combine((1, 1), m) == 1
 
 
 def test_crt_round_trip_full_ring():
@@ -162,7 +161,7 @@ def test_crt_round_trip_full_ring():
 def test_crt_combine_requires_matching_length():
     m = validate_modulus([(3, 1), (7, 1)])
     with pytest.raises(ValueError):
-        crt_combine(CrtView((1,)), m)
+        crt_combine((1,), m)
 
 
 def test_combined_root_examples():

@@ -98,14 +98,14 @@ def test_theorem1_n21_default():
     v = check_theorem1(M21, VectorAssignment.default(M21), build_field(21))
     assert v.applicable and v.holds
     seq = generate(M21, VectorAssignment.default(M21))
-    assert lincomp_bm(seq).L >= (21 + 1) // 2 - delta(21)
+    assert lincomp_bm(seq) >= (21 + 1) // 2 - delta(21)
 
 
 def test_theorem1_n15_bound_includes_delta():
     m = validate_modulus([(3, 1), (5, 1)])
     seq = generate(m, VectorAssignment.default(m))
     assert delta(15) == 1
-    assert lincomp_bm(seq).L >= 8 - 1
+    assert lincomp_bm(seq) >= 8 - 1
     v = check_theorem1(m, VectorAssignment.default(m), build_field(15))
     assert v.applicable and v.holds
 
@@ -135,7 +135,7 @@ def test_corollary_n9():
     v = check_corollary(M9, VectorAssignment.default(M9))
     assert v.applicable and v.holds
     seq = generate(M9, VectorAssignment.default(M9))
-    assert lincomp_bm(seq).L == 9
+    assert lincomp_bm(seq) == 9
 
 
 def test_corollary_not_applicable_n21():
@@ -149,21 +149,19 @@ def test_corollary_n5_and_n3():
     m5 = validate_modulus([(5, 1)])
     v = check_corollary(m5, VectorAssignment.default(m5))
     assert v.applicable and v.holds
-    assert lincomp_bm(generate(m5, VectorAssignment.default(m5))).L == 5
+    assert lincomp_bm(generate(m5, VectorAssignment.default(m5))) == 5
     m3 = validate_modulus([(3, 1)])
     v = check_corollary(m3, VectorAssignment.default(m3))
     assert v.applicable and v.holds  # L = 3 - delta(3) = 2
 
 
 def test_crt_split_n21():
-    split = crt_split(M21, 21)
-    assert split.prime_powers == (3, 7)
-    b1, b2 = split.coefficients
+    assert M21.divisor_factorization(21) == ((3, 1), (7, 1))
+    b1, b2 = crt_split(M21, 21)
     assert (b1 * 7 + b2 * 3) % 21 == 1
     assert b1 % 3 != 0 and b2 % 7 != 0
     assert (b1, b2) == (1, 5)
-    single = crt_split(M21, 3)
-    assert single.coefficients == (1,)
+    assert crt_split(M21, 3) == (1,)
     assert 1 * 7 % 21 == 7
 
 
@@ -172,17 +170,18 @@ def test_crt_split_sweep():
         n = m.n
         for d in m.divisors_gt1():
             split = crt_split(m, d)
-            total = sum(b * (n // q) for b, q in zip(split.coefficients, split.prime_powers))
+            qs = [p**l for p, l in m.divisor_factorization(d)]
+            assert len(split) == len(qs)
+            total = sum(b * (n // q) for b, q in zip(split, qs))
             assert total % n == n // d
-            for b, q, (p, _) in zip(split.coefficients, split.prime_powers, m.divisor_factorization(d)):
+            for b, q, (p, _) in zip(split, qs, m.divisor_factorization(d)):
                 assert 0 <= b < q and b % p != 0
 
 
 def test_crt_split_n105_d15():
     m = validate_modulus([(3, 1), (5, 1), (7, 1)])
-    split = crt_split(m, 15)
-    assert split.prime_powers == (3, 5)
-    b1, b2 = split.coefficients
+    assert m.divisor_factorization(15) == ((3, 1), (5, 1))
+    b1, b2 = crt_split(m, 15)
     assert (b1 * (105 // 3) + b2 * (105 // 5)) % 105 == 105 // 15
 
 
@@ -212,17 +211,13 @@ def test_lemma3_split_forms_coincide():
     for facs in ([(3, 2), (5, 1)], [(3, 1), (5, 1), (7, 1)], [(3, 1), (7, 1)]):
         m = validate_modulus(facs)
         n = m.n
-        top = crt_split(m, n)
-        top_by_prime = {q: b for q, b in zip(top.prime_powers, top.coefficients)}
+        top_by_prime = dict(zip(m.prime_powers(), crt_split(m, n)))
         for d in m.divisors_gt1():
-            split = crt_split(m, d)
-            for (p, _), q, b in zip(
-                m.divisor_factorization(d), split.prime_powers, split.coefficients
-            ):
+            for (p, l), b in zip(m.divisor_factorization(d), crt_split(m, d)):
                 big_q = next(pq for pq in m.prime_powers() if pq % p == 0)
-                own = b * (n // q) % n
+                own = b * (n // p**l) % n
                 via_top = top_by_prime[big_q] * (n // big_q) % n * (n // d) % n
-                assert own == via_top, (n, d, q)
+                assert own == via_top, (n, d, p)
 
 
 def test_lemma4_cases():
@@ -276,7 +271,7 @@ def test_predicted_matches_measured_to_300():
         if p1 % 4 != 3 or p2 % 4 != 3:
             continue
         seq = generate(m, VectorAssignment.all_ones_top(m))
-        assert lincomp_bm(seq).L == predicted_L_two_primes(p1, p2), m.n
+        assert lincomp_bm(seq) == predicted_L_two_primes(p1, p2), m.n
 
 
 def test_quadratic_reciprocity_consistency():
