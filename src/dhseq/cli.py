@@ -220,7 +220,7 @@ def survey_row(modulus: Modulus, assignment: VectorAssignment, degree_cap=None) 
         raise MethodDisagreement(
             f"spectral/GCD disagreement at n={modulus.n}: {l_spec} vs {l_gcd}"
         )
-    th1 = theorems._theorem1_verdict(modulus, seq, l_gcd, None)
+    th1 = theorems.check_theorem1(modulus, assignment, None, (seq, l_gcd))
     predicted = None
     match = None
     if (

@@ -38,25 +38,20 @@ class CheckVerdict:
         return not self.applicable or bool(self.holds)
 
 
-def check_lemma1(modulus: Modulus, d: int, a_d) -> CheckVerdict:
-    """Multiplication by the combined root must swap the two classes of d
-    whenever the vector has odd coordinate sum."""
-    a_d = tuple(a_d)
-    if sum(a_d) % 2 == 0:
-        return CheckVerdict(f"lemma1(d={d})", False, None, "even coordinate sum")
-    return _lemma1_verdict(d, _classes(modulus, d, a_d), numtheory.combined_root(modulus))
-
-
 def _classes(modulus: Modulus, d: int, a_d) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return cyclotomy.generalized_classes(modulus.divisor_factorization(d), a_d)
 
 
-def _lemma1_verdict(d: int, classes, g: int) -> CheckVerdict:
-    """check_lemma1 for an odd-sum vector, given the classes (d0, d1) of d
-    and the combined root g."""
+def check_lemma1(modulus: Modulus, d: int, a_d, classes=None) -> CheckVerdict:
+    """Multiplication by the combined root must swap the two classes of d
+    whenever the vector has odd coordinate sum. `classes`, the (d0, d1) pair
+    of d, is built when not given."""
     name = f"lemma1(d={d})"
-    d0, d1 = classes
-    g %= d
+    a_d = tuple(a_d)
+    if sum(a_d) % 2 == 0:
+        return CheckVerdict(name, False, None, "even coordinate sum")
+    d0, d1 = classes or _classes(modulus, d, a_d)
+    g = numtheory.combined_root(modulus) % d
     swapped0 = {g * x % d for x in d0}
     swapped1 = {g * x % d for x in d1}
     if swapped0 == set(d1) and swapped1 == set(d0):
@@ -65,30 +60,23 @@ def _lemma1_verdict(d: int, classes, g: int) -> CheckVerdict:
 
 
 def check_lemma2(
-    modulus: Modulus, assignment: VectorAssignment, d: int, field: BinaryField | None = None
+    modulus: Modulus, assignment: VectorAssignment, d: int,
+    field: BinaryField | None = None, classes=None,
 ) -> CheckVerdict:
     """Scaled-class evaluations must match under the root-for-argument swap:
     the lifted d1 sum at alpha^(vg) equals the lifted d0 sum at alpha^v.
 
-    Without a field only the underlying set identity is checked.
+    Without a field only the underlying set identity is checked. `classes`
+    is as for check_lemma1.
     """
+    name = f"lemma2(d={d})"
     a_d = assignment.vector_for(d)
     if sum(a_d) % 2 == 0:
-        return CheckVerdict(f"lemma2(d={d})", False, None, "even coordinate sum")
-    return _lemma2_verdict(
-        modulus, d, _classes(modulus, d, a_d), numtheory.combined_root(modulus), field
-    )
-
-
-def _lemma2_verdict(
-    modulus: Modulus, d: int, classes, g: int, field: BinaryField | None
-) -> CheckVerdict:
-    """check_lemma2 for an odd-sum vector, given the classes (d0, d1) of d
-    and the combined root g."""
-    name = f"lemma2(d={d})"
+        return CheckVerdict(name, False, None, "even coordinate sum")
+    d0, d1 = classes or _classes(modulus, d, a_d)
     n = modulus.n
     k = n // d
-    d0, d1 = classes
+    g = numtheory.combined_root(modulus)
     lifted0 = {k * x % n for x in d0}
     lifted1 = {k * x % n for x in d1}
     if {g * x % n for x in lifted1} != lifted0:
@@ -102,32 +90,24 @@ def _lemma2_verdict(
     return CheckVerdict(name, True, True)
 
 
-def check_theorem1(
-    modulus: Modulus, assignment: VectorAssignment, field: BinaryField | None = None
-) -> CheckVerdict:
-    """When every divisor vector has odd coordinate sum, the complexity of
-    the generated period must reach (n+1)/2 - delta. Given a field, the
-    complementary spectrum pairing (values at v and g*v sum to 1) is
-    verified as well."""
-    if _has_even_vector(modulus, assignment):
-        return CheckVerdict("theorem1", False, None, _EVEN_SUM)
-    return _theorem1_verdict(modulus, *_measure(modulus, assignment), field)
-
-
 def _measure(modulus: Modulus, assignment: VectorAssignment) -> tuple[DHSequence, int]:
     """The generated period and its complexity by the gcd route."""
     seq = sequence.generate(modulus, assignment)
     return seq, lincomp.lincomp_gcd(seq)
 
 
-def _theorem1_verdict(
-    modulus: Modulus, seq: DHSequence, L: int, field: BinaryField | None
+def check_theorem1(
+    modulus: Modulus, assignment: VectorAssignment, field: BinaryField | None = None, measured=None
 ) -> CheckVerdict:
-    """check_theorem1 on a period already generated, whose complexity L has
-    already been measured."""
+    """When every divisor vector has odd coordinate sum, the complexity of
+    the generated period must reach (n+1)/2 - delta. Given a field, the
+    complementary spectrum pairing (values at v and g*v sum to 1) is
+    verified as well. `measured`, the period and its complexity by the gcd
+    route, is computed when not given."""
     name = "theorem1"
-    if _has_even_vector(modulus, seq.assignment):
+    if _has_even_vector(modulus, assignment):
         return CheckVerdict(name, False, None, _EVEN_SUM)
+    seq, L = measured or _measure(modulus, assignment)
     n = modulus.n
     bound = (n + 1) // 2 - delta(n)
     if L < bound:
@@ -141,31 +121,25 @@ def _theorem1_verdict(
     return CheckVerdict(name, True, True)
 
 
-def check_corollary(modulus: Modulus, assignment: VectorAssignment) -> CheckVerdict:
+def check_corollary(
+    modulus: Modulus, assignment: VectorAssignment, L: int | None = None
+) -> CheckVerdict:
     """When 2 generates every factor's unit group (so the combined root can
-    be taken to be 2), the complexity must be exactly n - delta."""
-    return _corollary_skip(modulus, assignment) or _corollary_verdict(
-        modulus, _measure(modulus, assignment)[1]
-    )
-
-
-def _corollary_skip(modulus: Modulus, assignment: VectorAssignment) -> CheckVerdict | None:
-    """The not-applicable corollary verdict, or None when it applies."""
+    be taken to be 2), the complexity must be exactly n - delta. L, the
+    complexity of the generated period, is measured when not given."""
+    name = "corollary"
     if _has_even_vector(modulus, assignment):
-        return CheckVerdict("corollary", False, None, _EVEN_SUM)
+        return CheckVerdict(name, False, None, _EVEN_SUM)
     for p, e in modulus.factors:
         q = p**e
         if numtheory.multiplicative_order(2, q) != q // p * (p - 1):
-            return CheckVerdict("corollary", False, None, f"2 is not a primitive root modulo {q}")
-    return None
-
-
-def _corollary_verdict(modulus: Modulus, L: int) -> CheckVerdict:
-    """check_corollary, where it applies, on a complexity already measured."""
+            return CheckVerdict(name, False, None, f"2 is not a primitive root modulo {q}")
+    if L is None:
+        L = _measure(modulus, assignment)[1]
     expected = modulus.n - delta(modulus.n)
     if L == expected:
-        return CheckVerdict("corollary", True, True)
-    return CheckVerdict("corollary", True, False, f"L={L}, expected {expected}")
+        return CheckVerdict(name, True, True)
+    return CheckVerdict(name, True, False, f"L={L}, expected {expected}")
 
 
 def crt_split(modulus: Modulus, d: int) -> tuple[int, ...]:
@@ -186,20 +160,19 @@ def crt_split(modulus: Modulus, d: int) -> tuple[int, ...]:
 
 
 def check_lemma3(
-    modulus: Modulus, assignment: VectorAssignment, d: int, field: BinaryField
+    modulus: Modulus, assignment: VectorAssignment, d: int, field: BinaryField | None, classes=None
 ) -> CheckVerdict:
     """The lifted d1 sum at alpha^v must factor through the per-prime-power
     roots of unity beta_k = alpha^(b_k n/q_k) of d's own split: it equals the
     sum over odd index tuples of the products of per-factor class sums at
     beta_k^v. (Equivalently, with the roots from the split of n itself the
-    per-factor argument is beta^((n/d)v); the two forms coincide.)"""
-    a_d = assignment.vector_for(d)
-    return _lemma3_verdict(modulus, d, a_d, _classes(modulus, d, a_d)[1], field)
-
-
-def _lemma3_verdict(modulus: Modulus, d: int, a_d, d1, field: BinaryField) -> CheckVerdict:
-    """check_lemma3, given the class d1 of d under the vector a_d."""
+    per-factor argument is beta^((n/d)v); the two forms coincide.) Not
+    applicable without a field; `classes` is as for check_lemma1."""
     name = f"lemma3(d={d})"
+    if field is None:
+        return CheckVerdict(name, False, None, "field unavailable")
+    a_d = assignment.vector_for(d)
+    d1 = (classes or _classes(modulus, d, a_d))[1]
     n = modulus.n
     facs = modulus.divisor_factorization(d)
     k = n // d
@@ -209,8 +182,8 @@ def _lemma3_verdict(modulus: Modulus, d: int, a_d, d1, field: BinaryField) -> Ch
     lhs = lincomp.spectrum([k * x % n for x in d1], field)
     # factor_sums[j][b]: the class-b sum of factor j, as a spectrum in v
     factor_sums = [
-        [lincomp.spectrum([be * c % n for c in cls], field) for cls in classes]
-        for be, classes in zip(beta_exps, factor_classes)
+        [lincomp.spectrum([be * c % n for c in cls], field) for cls in pair]
+        for be, pair in zip(beta_exps, factor_classes)
     ]
     odd_tuples = sorted(i1)
     for v in lincomp.common_reps(lhs, *(s for sums in factor_sums for s in sums))[1:]:
@@ -225,10 +198,13 @@ def _lemma3_verdict(modulus: Modulus, d: int, a_d, d1, field: BinaryField) -> Ch
     return CheckVerdict(name, True, True)
 
 
-def check_lemma4(modulus: Modulus, field: BinaryField) -> CheckVerdict:
+def check_lemma4(modulus: Modulus, field: BinaryField | None) -> CheckVerdict:
     """With the all-ones vector on a squarefree two-prime n, the spectrum on
-    units must be constant: 0 when both primes are 3 mod 4, 1 otherwise."""
+    units must be constant: 0 when both primes are 3 mod 4, 1 otherwise.
+    Not applicable without a field."""
     name = "lemma4"
+    if field is None:
+        return CheckVerdict(name, False, None, "field unavailable")
     if modulus.t != 2 or any(e != 1 for _, e in modulus.factors):
         return CheckVerdict(name, False, None, "n is not a product of two distinct primes")
     (p1, _), (p2, _) = modulus.factors
@@ -267,36 +243,23 @@ def all_checks(
     """Every check, divisor-expanded, in a deterministic order.
 
     Checks that require a field are reported as not applicable when none is
-    supplied (extension degree above the cap).
+    supplied (extension degree above the cap). One class pair per divisor
+    serves its three lemmas, and one period and one gcd serve theorem1 and
+    the corollary.
     """
-    lemma1, lemma2, lemma3 = [], [], []
-    g = numtheory.combined_root(modulus)
+    per_divisor = []
     for d in modulus.divisors_gt1():
         a_d = assignment.vector_for(d)
-        odd = sum(a_d) % 2
-        # one class pair per divisor serves all three lemmas
-        classes = _classes(modulus, d, a_d) if odd or field is not None else None
-        if odd:
-            lemma1.append(_lemma1_verdict(d, classes, g))
-            lemma2.append(_lemma2_verdict(modulus, d, classes, g, field))
-        else:
-            lemma1.append(check_lemma1(modulus, d, a_d))
-            lemma2.append(check_lemma2(modulus, assignment, d, field))
-        if field is not None:
-            lemma3.append(_lemma3_verdict(modulus, d, a_d, classes[1], field))
-        else:
-            lemma3.append(CheckVerdict(f"lemma3(d={d})", False, None, "field unavailable"))
-    out = lemma1 + lemma2 + lemma3
-    if field is not None:
-        out.append(check_lemma4(modulus, field))
-    else:
-        out.append(CheckVerdict("lemma4", False, None, "field unavailable"))
-    if _has_even_vector(modulus, assignment):
-        out.append(check_theorem1(modulus, assignment, field))
-        out.append(check_corollary(modulus, assignment))
-    else:
-        # one period and one gcd serve both verdicts
-        seq, L = _measure(modulus, assignment)
-        out.append(_theorem1_verdict(modulus, seq, L, field))
-        out.append(_corollary_skip(modulus, assignment) or _corollary_verdict(modulus, L))
-    return out
+        classes = _classes(modulus, d, a_d) if field is not None or sum(a_d) % 2 else None
+        per_divisor.append((
+            check_lemma1(modulus, d, a_d, classes),
+            check_lemma2(modulus, assignment, d, field, classes),
+            check_lemma3(modulus, assignment, d, field, classes),
+        ))
+    measured = None if _has_even_vector(modulus, assignment) else _measure(modulus, assignment)
+    return [
+        *(v for lemma in zip(*per_divisor) for v in lemma),
+        check_lemma4(modulus, field),
+        check_theorem1(modulus, assignment, field, measured),
+        check_corollary(modulus, assignment, measured and measured[1]),
+    ]

@@ -193,6 +193,18 @@ def test_verify_lemma4_needs_field(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cap", ["100000", "0"])
+def test_lincomp_degree_cap_out_of_range_exits_2(capsys, cap):
+    # ord_1019(2) = 1018, so a cap above it would start a search for an
+    # irreducible of degree 1018 that takes minutes; the range check comes first
+    code, out, err = run(
+        capsys, "lincomp", "--factors", "1019:1", "--method", "all", "--degree-cap", cap
+    )
+    assert code == 2
+    assert "L[" not in out
+    assert err.startswith("error: ") and "degree cap" in err
+
+
 def test_verify_all_without_field_marks_inapplicable(capsys):
     code, out, _ = run(
         capsys,
@@ -439,6 +451,31 @@ def test_survey_row_generates_and_measures_gcd_once(monkeypatch):
     row = cli.survey_row(m, VectorAssignment.default(m))
     assert calls == {"generate": 1, "lincomp_gcd": 1}
     assert row["theorem1_applicable"] and row["theorem1_holds"]
+
+
+def test_survey_calls_check_theorem1_once_per_row(tmp_path, capsys, monkeypatch):
+    # perfbench traces theorems.check_theorem1; survey_row must look it up
+    from collections import Counter
+
+    from dhseq import theorems
+
+    calls = Counter()
+    for module, attr in ((cli, "survey_row"), (theorems, "check_theorem1")):
+        real = getattr(module, attr)
+
+        def wrapper(*args, _attr=attr, _real=real, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+    out_csv = tmp_path / "s.csv"
+    code, out, _ = run(
+        capsys, "survey", "--max-n", "200", "--mode", "default-all", "--out", str(out_csv)
+    )
+    assert code == 0
+    rows = len(out_csv.read_text().splitlines()) - 1
+    assert out == f"wrote {rows} rows to {out_csv}\n"
+    assert rows > 10 and calls == Counter(survey_row=rows, check_theorem1=rows)
 
 
 @pytest.mark.parametrize(

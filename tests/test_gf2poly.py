@@ -207,6 +207,19 @@ def test_degree_cap():
         build_field(131, degree_cap=64)  # order of 2 mod 131 is 130
 
 
+@pytest.mark.parametrize("cap", [0, -1, gf2poly.MAX_DEGREE_CAP + 1, 10**5])
+def test_degree_cap_out_of_range_raises_before_searching(monkeypatch, cap):
+    def refuse(m):
+        raise AssertionError(f"searched for an irreducible of degree {m}")
+
+    monkeypatch.setattr(gf2poly, "smallest_irreducible", refuse)
+    with pytest.raises(ValueError, match="degree cap"):
+        build_field(1019, cap)
+    # the largest allowed cap passes the range check and meets the usual cap test
+    with pytest.raises(DegreeCapExceeded):
+        build_field(1019, gf2poly.MAX_DEGREE_CAP)
+
+
 def test_eval_poly():
     f = build_field(21)
     all_ones = (1 << 21) - 1

@@ -10,6 +10,7 @@ from dhseq.lincomp import lincomp_bm, spectral_values
 from dhseq.numtheory import order_of_two, validate_modulus
 from dhseq.sequence import delta, generate
 from dhseq.theorems import (
+    CheckVerdict,
     check_corollary,
     check_lemma1,
     check_lemma2,
@@ -251,6 +252,8 @@ def test_lemma4_not_applicable_shapes():
     assert not check_lemma4(M9, build_field(9)).applicable
     m105 = validate_modulus([(3, 1), (5, 1), (7, 1)])
     assert not check_lemma4(m105, build_field(105)).applicable
+    # without a field even a two-prime n cannot be decided
+    assert check_lemma4(M21, None) == CheckVerdict("lemma4", False, None, "field unavailable")
 
 
 def test_predicted_L_examples():
@@ -295,7 +298,13 @@ def test_all_checks_shapes():
     # without a field the field-bound checks are reported inapplicable
     verdicts = theorems.all_checks(M21, VectorAssignment.default(M21), None)
     lemma3 = [v for v in verdicts if v.name.startswith("lemma3")]
-    assert lemma3 and all(not v.applicable for v in lemma3)
+    assert lemma3 == [
+        CheckVerdict(f"lemma3(d={d})", False, None, "field unavailable")
+        for d in M21.divisors_gt1()
+    ]
+    assert lemma3 == [
+        check_lemma3(M21, VectorAssignment.default(M21), d, None) for d in M21.divisors_gt1()
+    ]
 
 
 @pytest.mark.parametrize(
@@ -372,3 +381,23 @@ def test_all_checks_builds_each_class_pair_once(monkeypatch, factors, overrides,
     needed = [d for d in divisors if field is not None or sum(assignment.vector_for(d)) % 2]
     per_factor = sum(len(m.divisor_factorization(d)) for d in divisors) if field else 0
     assert len(calls) == len(needed) + per_factor
+
+
+def test_all_checks_goes_through_the_public_checks(monkeypatch):
+    # perfbench traces these module attributes; all_checks must look them up
+    from collections import Counter
+
+    calls = Counter()
+    for name in ("lemma1", "lemma2", "lemma3", "lemma4", "theorem1", "corollary"):
+        real = getattr(theorems, f"check_{name}")
+
+        def wrapper(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(theorems, f"check_{name}", wrapper)
+    m = validate_modulus([(3, 1), (5, 1), (7, 1), (11, 1)])
+    verdicts = theorems.all_checks(m, VectorAssignment.default(m), build_field(m.n))
+    assert len(m.divisors_gt1()) == 15
+    assert calls == Counter(lemma1=15, lemma2=15, lemma3=15, lemma4=1, theorem1=1, corollary=1)
+    assert len(verdicts) == 48 and all(v.passed for v in verdicts)
