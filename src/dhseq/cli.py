@@ -327,6 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "degree_cap" in args:
+            # checked here, so a check that builds no field still rejects it
+            args.degree_cap = gf2poly.resolve_degree_cap(args.degree_cap)
         return args.func(args)
     except MethodDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -207,17 +207,19 @@ def exponents(a: int) -> list[int]:
 
 
 class BinaryField:
-    """GF(2^m) with a fixed n-th root of unity alpha; elements are ints < 2^m.
+    """GF(2^m) as GF(2)[x]/(g), g the minimal polynomial of a fixed n-th root
+    of unity alpha, so alpha = x; elements are ints < 2^m.
 
     Immutable after construction; the power table for alpha and the
     H-orbits of Z_n are cached on first use and shared by every evaluation.
     """
 
-    def __init__(self, n: int, m: int, modulus_poly: int, alpha: int):
+    alpha = 2  # x
+
+    def __init__(self, n: int, m: int, modulus_poly: int):
         self.n = n
         self.m = m
         self.modulus_poly = modulus_poly
-        self.alpha = alpha
         self._alpha_pow = None
         self._orbits = None
 
@@ -225,11 +227,18 @@ class BinaryField:
         return mod(mul(a, b), self.modulus_poly)
 
     def alpha_powers(self) -> tuple[int, ...]:
-        """alpha^0 .. alpha^(n-1)."""
+        """alpha^0 .. alpha^(n-1): since alpha = x, each power is the last
+        one shifted left and reduced by one xor, an LFSR run on g."""
         if self._alpha_pow is None:
-            out = [1]
-            for _ in range(self.n - 1):
-                out.append(self.mul(out[-1], self.alpha))
+            g = self.modulus_poly
+            m = self.m
+            out = [1] * self.n
+            x = 1
+            for i in range(1, self.n):
+                x <<= 1
+                if x >> m:
+                    x ^= g
+                out[i] = x
             self._alpha_pow = tuple(out)
         return self._alpha_pow
 
@@ -250,18 +259,50 @@ class BinaryField:
         return acc
 
 
-def build_field(n: int, degree_cap: int | None = None) -> BinaryField:
-    """GF(2^m) for the smallest m with 2^m = 1 (mod n), plus an order-n alpha.
-
-    The modulus polynomial is the lexicographically smallest irreducible of
-    degree m. alpha is e^((2^m - 1)/n) for the first base element e (by
-    coefficient value, starting at x) whose power has order exactly n.
-    A cap outside 1..MAX_DEGREE_CAP raises ValueError.
-    """
+def resolve_degree_cap(degree_cap: int | None) -> int:
+    """DEFAULT_DEGREE_CAP for None, else the cap itself; ValueError outside
+    1..MAX_DEGREE_CAP."""
     if degree_cap is None:
-        degree_cap = DEFAULT_DEGREE_CAP
+        return DEFAULT_DEGREE_CAP
     if not 1 <= degree_cap <= MAX_DEGREE_CAP:
         raise ValueError(f"degree cap {degree_cap} is outside 1..{MAX_DEGREE_CAP}")
+    return degree_cap
+
+
+def minimal_polynomial(a: int, f: int, m: int) -> int:
+    """The minimal polynomial over GF(2) of a in GF(2)[x]/(f), f irreducible
+    of degree m: the first linear dependency among 1, a, a^2, ..., found by
+    eliminating each power against the earlier ones while tracking which
+    powers were combined."""
+    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, combination)
+    power = 1
+    for k in range(m + 1):
+        v, combo = power, 1 << k
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = (v, combo)
+                break
+            bv, bc = basis[top]
+            v ^= bv
+            combo ^= bc
+        else:
+            return combo
+        power = mod(mul(power, a), f)
+    raise ArithmeticError(f"{f:#b} is not of degree {m}")
+
+
+def build_field(n: int, degree_cap: int | None = None) -> BinaryField:
+    """GF(2^m) for the smallest m with 2^m = 1 (mod n), on the minimal
+    polynomial of an order-n alpha, so that alpha = x.
+
+    alpha is found in the lexicographically smallest irreducible f of degree
+    m, as e^((2^m - 1)/n) for the first base element e (by coefficient value,
+    starting at x) whose power has order exactly n; the modulus is then its
+    minimal polynomial, which has degree m. A cap outside 1..MAX_DEGREE_CAP
+    raises ValueError.
+    """
+    degree_cap = resolve_degree_cap(degree_cap)
     m = numtheory.order_of_two(n)
     if m > degree_cap:
         raise DegreeCapExceeded(n, m, degree_cap)
@@ -273,5 +314,5 @@ def build_field(n: int, degree_cap: int | None = None) -> BinaryField:
         if a == 1:
             continue
         if all(powmod(a, n // q, f) != 1 for q in nprimes):
-            return BinaryField(n, m, f, a)
+            return BinaryField(n, m, minimal_polynomial(a, f, m))
     raise ArithmeticError(f"no element of order {n} found in GF(2^{m})")

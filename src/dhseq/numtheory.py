@@ -8,6 +8,7 @@ arrive factored; only totients and small survey inputs get factored here).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import Counter
@@ -226,6 +227,9 @@ def order_of_two(n: int) -> int:
     return multiplicative_order(2, n)
 
 
+# a period asks for its few primes again on every orbit or class call; a
+# survey asks for hundreds of primes, so keep only the recent ones
+@functools.lru_cache(maxsize=16)
 def nonsquare_table(p: int) -> bytes:
     """chi_p: byte x is 1 when x is a nonsquare unit modulo p, else 0."""
     table = bytearray(b"\x01") * p

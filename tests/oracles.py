@@ -6,8 +6,9 @@ became one packed int, the classes built from powers of a primitive root
 spectral sweeps the checks used before they shared the orbit-reduced
 engine, the one-shot Euclid the gcd route ran before it split x^n + 1
 into cyclotomic blocks, a per-block Euclid for the blocks the rank route
-counts, and small helpers only tests need; tests compare
-the fast routes against them.
+counts, the GF(2^m) the spectral route used before it was re-based on the
+minimal polynomial of alpha, and small helpers only tests need; tests
+compare the fast routes against them.
 """
 
 import functools
@@ -193,6 +194,37 @@ def divmod_(a: int, b: int) -> tuple[int, int]:
         q ^= 1 << shift
         a ^= b << shift
     return q, a
+
+
+class SmallestIrreducibleField(gf2poly.BinaryField):
+    """GF(2^m) on the smallest irreducible of degree m, with alpha an element
+    of that basis and each power one generic multiply and reduction."""
+
+    def __init__(self, n: int, m: int, modulus_poly: int, alpha: int):
+        super().__init__(n, m, modulus_poly)
+        self.alpha = alpha
+
+    def alpha_powers(self) -> tuple[int, ...]:
+        if self._alpha_pow is None:
+            out = [1]
+            for _ in range(self.n - 1):
+                out.append(self.mul(out[-1], self.alpha))
+            self._alpha_pow = tuple(out)
+        return self._alpha_pow
+
+
+def smallest_irreducible_field(n: int) -> SmallestIrreducibleField:
+    """The field build_field made before the re-basing: alpha is
+    e^((2^m - 1)/n) for the first e >= x whose power has order exactly n,
+    in the smallest irreducible of degree m = ord_n(2)."""
+    m = numtheory.order_of_two(n)
+    f = gf2poly.smallest_irreducible(m)
+    step = ((1 << m) - 1) // n
+    for e in range(2, 1 << m):
+        a = gf2poly.powmod(e, step, f)
+        if a != 1 and all(gf2poly.powmod(a, n // q, f) != 1 for q, _ in numtheory.factorize(n)):
+            return SmallestIrreducibleField(n, m, f, a)
+    raise ArithmeticError(f"no element of order {n} found in GF(2^{m})")
 
 
 def alpha_power(field, k: int) -> int:

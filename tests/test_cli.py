@@ -205,6 +205,18 @@ def test_lincomp_degree_cap_out_of_range_exits_2(capsys, cap):
     assert err.startswith("error: ") and "degree cap" in err
 
 
+@pytest.mark.parametrize("check", ["lemma1", "corollary"])
+@pytest.mark.parametrize("cap", ["0", "257"])
+def test_verify_degree_cap_out_of_range_exits_2_without_a_field(capsys, check, cap):
+    # lemma1 and corollary build no field, but the cap is checked all the same
+    code, out, err = run(
+        capsys, "verify", "--check", check, "--factors", "3:1,7:1", "--degree-cap", cap
+    )
+    assert code == 2
+    assert "applicable=" not in out
+    assert err.startswith("error: ") and "degree cap" in err
+
+
 def test_verify_all_without_field_marks_inapplicable(capsys):
     code, out, _ = run(
         capsys,

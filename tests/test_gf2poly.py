@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dhseq import gf2poly
+from dhseq import gf2poly, lincomp, numtheory, sequence
+from dhseq.cyclotomy import VectorAssignment
 from dhseq.errors import BothZero, DegreeCapExceeded
 from dhseq.gf2poly import (
     berlekamp_massey,
@@ -9,13 +10,14 @@ from dhseq.gf2poly import (
     degree,
     gcd,
     is_irreducible,
+    minimal_polynomial,
     mod,
     mul,
     powmod,
     smallest_irreducible,
 )
 
-from oracles import alpha_power, divmod_, eval_poly, from_bits
+from oracles import alpha_power, divmod_, eval_poly, from_bits, smallest_irreducible_field
 
 
 # Oracle arithmetic on coefficient lists, independent of the bit tricks.
@@ -238,3 +240,35 @@ def test_subset_eval_matches_eval_poly():
     poly = from_bits([1 if i in exps else 0 for i in range(21)])
     for v in range(21):
         assert f.subset_eval(exps, v) == eval_poly(poly, alpha_power(f, v), f)
+
+
+def test_minimal_polynomial_examples():
+    f = 0b10011  # x^4 + x + 1, primitive
+    assert minimal_polynomial(0b10, f, 4) == f  # x is its own root
+    assert minimal_polynomial(1, f, 4) == 0b11  # x + 1
+    assert minimal_polynomial(0, f, 4) == 0b10  # x
+    # x^5 has order 3, so it lies in GF(4): x^2 + x + 1
+    assert minimal_polynomial(powmod(2, 5, f), f, 4) == 0b111
+    # x^3 has order 5: x^4 + x^3 + x^2 + x + 1
+    assert minimal_polynomial(0b1000, f, 4) == 0b11111
+
+
+def test_rebased_field_matches_smallest_irreducible_field():
+    for modulus in numtheory.enumerate_valid_moduli(2000):
+        n = modulus.n
+        m = numtheory.order_of_two(n)
+        if m > gf2poly.DEFAULT_DEGREE_CAP:
+            continue
+        field = build_field(n)
+        old = smallest_irreducible_field(n)
+        g = field.modulus_poly
+        assert field.alpha == 2 and degree(g) == m == field.m, n
+        assert brute_irreducible(g) if m <= 16 else is_irreducible(g), n
+        # g is the minimal polynomial of the old alpha
+        assert eval_poly(g, old.alpha, old) == 0, n
+        powers = field.alpha_powers()
+        assert len(powers) == n
+        for i in {0, 1, m - 1, m, min(m + 1, n - 1), n // 2, n - 1}:
+            assert powers[i] == powmod(2, i, g), (n, i)
+        seq = sequence.generate(modulus, VectorAssignment.default(modulus))
+        assert lincomp.lincomp_spectral(seq, field) == lincomp.lincomp_spectral(seq, old), n

@@ -207,6 +207,14 @@ def test_legendre_is_multiplicative(p, a, b):
     assert legendre(a + p, p) == legendre(a, p)
 
 
+def test_nonsquare_table_is_cached():
+    table = numtheory.nonsquare_table(11351)
+    assert numtheory.nonsquare_table(11351) is table
+    for p in (3, 7, 11, 13):
+        chi = numtheory.nonsquare_table(p)
+        assert list(chi) == [int(legendre(x, p) == -1) for x in range(p)]
+
+
 def test_order_of_two_examples():
     assert brute_order(2, 21) == 6
     assert order_of_two(21) == 6
