@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
 from . import gf2poly, lincomp, numtheory, sequence, theorems
 from .cyclotomy import VectorAssignment
-from .errors import DegreeCapExceeded, DHSeqError, MethodDisagreement
+from .errors import DHSeqError, MethodDisagreement
 from .numtheory import Modulus
 from .sequence import delta
 
@@ -98,58 +99,56 @@ def _load_period(args):
     return sequence.generate(modulus, resolve_assignment(modulus, args))
 
 
-def cmd_lincomp(args) -> int:
-    seq = _load_period(args)
-    wanted = ["bm", "gcd", "spectral"] if args.method == "all" else [args.method]
-    results: dict[str, int] = {}
-    for method in wanted:
-        if method == "bm":
-            results["bm"] = lincomp.lincomp_bm(seq)
-        elif method == "gcd":
-            results["gcd"] = lincomp.lincomp_gcd(seq)
+METHODS = ("bm", "gcd", "spectral")
+
+
+def _field(n: int, degree_cap: int | None, required: bool):
+    """GF(2^m), m = ord_n(2), for the spectral route: None (a skip) when n
+    is even or 1 or m is above the cap, or that error when the caller has
+    no use for a skip."""
+    try:
+        if n % 2 == 0 or n == 1:
+            raise DHSeqError("spectral method needs an odd period > 1")
+        return gf2poly.build_field(n, degree_cap)
+    except DHSeqError:
+        if required:
+            raise
+        return None
+
+
+def _measure(seq, methods, degree_cap, required=False) -> tuple[dict[str, int], str | None]:
+    """L of seq by each of methods, in order, and why the spectral route
+    was skipped (None when it ran or was not asked for). With required a
+    spectral route that cannot run raises instead."""
+    found, skipped = {}, None
+    for method in methods:
+        if method != "spectral":
+            # looked up per call, so a patched or traced lincomp is seen
+            found[method] = getattr(lincomp, f"lincomp_{method}")(seq)
+        elif (field := _field(seq.n, degree_cap, required)) is None:
+            skipped = "field unavailable"
         else:
             try:
-                if seq.n % 2 == 0 or seq.n == 1:
-                    raise DHSeqError("spectral method needs an odd period > 1")
-                field = gf2poly.build_field(seq.n, args.degree_cap)
-            except (DegreeCapExceeded, DHSeqError):
-                if args.method == "spectral":
+                found[method] = lincomp.lincomp_spectral(seq, field)
+            except DHSeqError as exc:  # a full sweep refused
+                if required:
                     raise
-                print("L[spectral] skipped: field unavailable")
-                continue
-            results["spectral"] = lincomp.lincomp_spectral(seq, field)
-    for method in ("bm", "gcd", "spectral"):
-        if method in results:
-            print(f"L[{method}] = {results[method]}")
-    if len(set(results.values())) > 1:
+                skipped = str(exc)
+    return found, skipped
+
+
+def cmd_lincomp(args) -> int:
+    seq = _load_period(args)
+    methods = METHODS if args.method == "all" else (args.method,)
+    found, skipped = _measure(seq, methods, args.degree_cap, args.method == "spectral")
+    if skipped:
+        print(f"L[spectral] skipped: {skipped}")
+    for method, L in found.items():
+        print(f"L[{method}] = {L}")
+    if len(set(found.values())) > 1:
         print("error: methods disagree", file=sys.stderr)
         return EXIT_DISAGREEMENT
     return EXIT_OK
-
-
-def _collect_verdicts(check, modulus, assignment, field):
-    if check == "all":
-        return theorems.all_checks(modulus, assignment, field)
-    if check == "lemma1":
-        return [
-            theorems.check_lemma1(modulus, d, assignment.vector_for(d))
-            for d in modulus.divisors_gt1()
-        ]
-    if check == "lemma2":
-        return [
-            theorems.check_lemma2(modulus, assignment, d, field)
-            for d in modulus.divisors_gt1()
-        ]
-    if check == "lemma3":
-        return [
-            theorems.check_lemma3(modulus, assignment, d, field)
-            for d in modulus.divisors_gt1()
-        ]
-    if check == "lemma4":
-        return [theorems.check_lemma4(modulus, field)]
-    if check == "theorem1":
-        return [theorems.check_theorem1(modulus, assignment, field)]
-    return [theorems.check_corollary(modulus, assignment)]
 
 
 def _verdict_line(v: theorems.CheckVerdict) -> str:
@@ -164,19 +163,13 @@ def cmd_verify(args) -> int:
     modulus = numtheory.validate_modulus(parse_factors(args.factors))
     assignment = resolve_assignment(modulus, args)
     field = None
-    if args.check in ("lemma2", "lemma3", "lemma4", "theorem1", "all"):
-        try:
-            field = gf2poly.build_field(modulus.n, args.degree_cap)
-        except DegreeCapExceeded:
-            # lemma3/lemma4 cannot run at all without the field
-            if args.check in ("lemma3", "lemma4"):
-                raise
-    verdicts = _collect_verdicts(args.check, modulus, assignment, field)
+    if args.check not in ("lemma1", "corollary"):
+        # lemma3/lemma4 cannot run at all without the field
+        field = _field(modulus.n, args.degree_cap, args.check in ("lemma3", "lemma4"))
+    verdicts = theorems.all_checks(modulus, assignment, field, args.check)
     for v in verdicts:
         print(_verdict_line(v))
-    if all(v.passed for v in verdicts):
-        return EXIT_OK
-    return EXIT_CHECK_FAILED
+    return EXIT_OK if all(v.passed for v in verdicts) else EXIT_CHECK_FAILED
 
 
 CSV_HEADER = [
@@ -206,23 +199,15 @@ def survey_row(modulus: Modulus, assignment: VectorAssignment, degree_cap=None) 
     """One survey measurement, keyed by CSV_HEADER in header order; raises
     MethodDisagreement when BM or the spectral route disagrees with gcd."""
     seq = sequence.generate(modulus, assignment)
-    l_bm = lincomp.lincomp_bm(seq)
-    l_gcd = lincomp.lincomp_gcd(seq)
-    if l_bm != l_gcd:
-        raise MethodDisagreement(f"BM/GCD disagreement at n={modulus.n}: {l_bm} vs {l_gcd}")
-    l_spec = None
-    try:
-        field = gf2poly.build_field(modulus.n, degree_cap)
-        l_spec = lincomp.lincomp_spectral(seq, field)
-    except DegreeCapExceeded:
-        pass
-    if l_spec is not None and l_spec != l_gcd:
-        raise MethodDisagreement(
-            f"spectral/GCD disagreement at n={modulus.n}: {l_spec} vs {l_gcd}"
-        )
+    found, _ = _measure(seq, METHODS, degree_cap)
+    l_gcd = found["gcd"]
+    for method, label in (("bm", "BM"), ("spectral", "spectral")):
+        if found.get(method, l_gcd) != l_gcd:
+            raise MethodDisagreement(
+                f"{label}/GCD disagreement at n={modulus.n}: {found[method]} vs {l_gcd}"
+            )
     th1 = theorems.check_theorem1(modulus, assignment, None, (seq, l_gcd))
-    predicted = None
-    match = None
+    predicted = match = None
     if (
         modulus.t == 2
         and all(e == 1 for _, e in modulus.factors)
@@ -238,9 +223,9 @@ def survey_row(modulus: Modulus, assignment: VectorAssignment, degree_cap=None) 
         "factors": modulus.factor_string(),
         "assignment": assignment.spec_string(),
         "delta": delta(modulus.n),
-        "L_bm": l_bm,
+        "L_bm": found["bm"],
         "L_gcd": l_gcd,
-        "L_spectral": l_spec,
+        "L_spectral": found.get("spectral"),
         "theorem1_applicable": th1.applicable,
         "theorem1_holds": th1.holds,
         "predicted_L": predicted,
@@ -275,6 +260,9 @@ def cmd_survey(args) -> int:
     return EXIT_CHECK_FAILED if bad else EXIT_OK
 
 
+# built once per process: each parser is a web of reference cycles that
+# only a full gc collection frees
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dhseq",
@@ -294,23 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("--sequence", metavar="FILE", help="read a raw period instead")
     _add_assignment_options(lc)
     lc.add_argument(
-        "--method",
-        choices=["bm", "gcd", "spectral", "all"],
-        default="all",
-        help="which method(s) to run",
+        "--method", choices=[*METHODS, "all"], default="all", help="which method(s) to run"
     )
-    lc.add_argument("--degree-cap", type=int, default=None, help="spectral degree cap")
     lc.set_defaults(func=cmd_lincomp)
 
     ver = sub.add_parser("verify", help="run structural checks")
-    ver.add_argument(
-        "--check",
-        required=True,
-        choices=["lemma1", "lemma2", "lemma3", "lemma4", "theorem1", "corollary", "all"],
-    )
+    ver.add_argument("--check", required=True, choices=[*theorems.CHECKS, "all"])
     ver.add_argument("--factors", required=True, help="modulus factorization")
     _add_assignment_options(ver)
-    ver.add_argument("--degree-cap", type=int, default=None, help="spectral degree cap")
     ver.set_defaults(func=cmd_verify)
 
     sur = sub.add_parser("survey", help="sweep moduli and emit a CSV")
@@ -318,8 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     sur.add_argument("--mode", choices=["two-primes-11", "default-all"], required=True)
     sur.add_argument("--out", required=True, metavar="FILE")
     sur.add_argument("--cap", type=int, default=DEFAULT_SURVEY_CAP, help="hard cap on --max-n")
-    sur.add_argument("--degree-cap", type=int, default=None, help="spectral degree cap")
     sur.set_defaults(func=cmd_survey)
+
+    for cmd in (lc, ver, sur):
+        cmd.add_argument("--degree-cap", type=int, default=None, help="spectral degree cap")
 
     return parser
 

@@ -130,15 +130,11 @@ class VectorAssignment:
                 raise AssignmentFormatError(line, "divisor is not an integer") from None
             if set(bits) - {"0", "1"} or not bits:
                 raise AssignmentFormatError(line, "bits must be a nonempty 0/1 string")
-            if d <= 1 or modulus.n % d != 0:
-                raise AssignmentFormatError(line, f"{d} is not a divisor > 1 of {modulus.n}")
             vec = tuple(int(c) for c in bits)
-            if len(vec) != len(modulus.divisor_factorization(d)):
-                raise AssignmentFormatError(
-                    line, "one bit per distinct prime of the divisor required"
-                )
-            if not any(vec):
-                raise AssignmentFormatError(line, "vector must be nonzero")
+            try:
+                _check_vector(modulus, d, vec)
+            except (ValueError, ZeroVector) as exc:
+                raise AssignmentFormatError(line, str(exc)) from None
             overrides[d] = vec
         return cls.from_overrides(modulus, overrides)
 

@@ -333,4 +333,5 @@ def enumerate_valid_moduli(max_n: int) -> list[Modulus]:
                 e += 1
 
     extend(0, (), (), 1)
+    del extend  # a self-referring closure: without this the moduli wait for a full gc
     return sorted(out, key=lambda m: m.n)

@@ -237,29 +237,43 @@ def predicted_L_two_primes(p1: int, p2: int) -> int:
     return (p1 + p2) // 2
 
 
+CHECKS = ("lemma1", "lemma2", "lemma3", "lemma4", "theorem1", "corollary")
+
+
 def all_checks(
-    modulus: Modulus, assignment: VectorAssignment, field: BinaryField | None = None
+    modulus: Modulus, assignment: VectorAssignment, field: BinaryField | None = None,
+    check: str = "all",
 ) -> list[CheckVerdict]:
-    """Every check, divisor-expanded, in a deterministic order.
+    """The verdicts of one check of CHECKS, divisor-expanded, or of every
+    check for "all", in a deterministic order.
 
     Checks that require a field are reported as not applicable when none is
-    supplied (extension degree above the cap). One class pair per divisor
-    serves its three lemmas, and one period and one gcd serve theorem1 and
-    the corollary.
+    supplied (extension degree above the cap). The requested lemmas of a
+    divisor share one class pair, built only when one of them reads it
+    (lemma1 and lemma2 on an odd coordinate sum, lemma3 with a field). When
+    theorem1 is requested, one period and one gcd serve it and the
+    corollary; the corollary alone measures only where it applies.
     """
-    per_divisor = []
+    if check != "all" and check not in CHECKS:
+        raise ValueError(f"unknown check {check!r}; expected one of {CHECKS} or 'all'")
+    out = {name: [] for name in (CHECKS if check == "all" else (check,))}
     for d in modulus.divisors_gt1():
         a_d = assignment.vector_for(d)
-        classes = _classes(modulus, d, a_d) if field is not None or sum(a_d) % 2 else None
-        per_divisor.append((
-            check_lemma1(modulus, d, a_d, classes),
-            check_lemma2(modulus, assignment, d, field, classes),
-            check_lemma3(modulus, assignment, d, field, classes),
-        ))
-    measured = None if _has_even_vector(modulus, assignment) else _measure(modulus, assignment)
-    return [
-        *(v for lemma in zip(*per_divisor) for v in lemma),
-        check_lemma4(modulus, field),
-        check_theorem1(modulus, assignment, field, measured),
-        check_corollary(modulus, assignment, measured and measured[1]),
-    ]
+        odd_reads = sum(a_d) % 2 and ("lemma1" in out or "lemma2" in out)
+        reads = odd_reads or field is not None and "lemma3" in out
+        classes = _classes(modulus, d, a_d) if reads else None
+        if "lemma1" in out:
+            out["lemma1"].append(check_lemma1(modulus, d, a_d, classes))
+        if "lemma2" in out:
+            out["lemma2"].append(check_lemma2(modulus, assignment, d, field, classes))
+        if "lemma3" in out:
+            out["lemma3"].append(check_lemma3(modulus, assignment, d, field, classes))
+    if "lemma4" in out:
+        out["lemma4"].append(check_lemma4(modulus, field))
+    shared = "theorem1" in out and not _has_even_vector(modulus, assignment)
+    measured = _measure(modulus, assignment) if shared else None
+    if "theorem1" in out:
+        out["theorem1"].append(check_theorem1(modulus, assignment, field, measured))
+    if "corollary" in out:
+        out["corollary"].append(check_corollary(modulus, assignment, measured and measured[1]))
+    return [v for verdicts in out.values() for v in verdicts]

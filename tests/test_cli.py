@@ -515,3 +515,79 @@ def test_package_exports_resolve_once():
     assert len(dhseq.__all__) == len(set(dhseq.__all__))
     for name in dhseq.__all__:
         assert hasattr(dhseq, name), name
+
+
+def test_repeated_main_calls_leave_no_argparse_cycles(capsys):
+    # a parser built per call is a web of reference cycles that only a full
+    # collection frees; the memory of a long-running caller creeps with it
+    import gc
+
+    run(capsys, "verify", "--check", "lemma1", "--factors", "3:1,7:1")
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run(capsys, "verify", "--check", "all", "--factors", "3:1,7:1")
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []
+
+
+def _random_period(tmp_path, n, seed):
+    import random
+
+    rng = random.Random(seed)
+    f = tmp_path / f"random{n}.txt"
+    f.write_text("".join(rng.choice("01") for _ in range(n)) + "\n")
+    return f
+
+
+def test_lincomp_all_skips_the_full_sweep_of_a_large_raw_period(tmp_path, capsys):
+    # n = 8191 = 2^13 - 1: the field exists (m = 13), but a random period is
+    # no union of H-orbits, so the spectral method would sweep all of Z_n
+    from dhseq.lincomp import MAX_FULL_SWEEP
+
+    f = _random_period(tmp_path, 8191, seed=11)
+    code, out, err = run(capsys, "lincomp", "--sequence", str(f), "--method", "all")
+    assert code == 0 and err == ""
+    skip, bm, gcd = out.splitlines()
+    assert skip.startswith("L[spectral] skipped: ") and f"above n={MAX_FULL_SWEEP}" in skip
+    assert bm.startswith("L[bm] = ") and gcd == bm.replace("bm", "gcd")
+
+
+def test_lincomp_spectral_refuses_the_full_sweep_of_a_large_raw_period(tmp_path, capsys):
+    f = _random_period(tmp_path, 8191, seed=11)
+    code, out, err = run(capsys, "lincomp", "--sequence", str(f), "--method", "spectral")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the period is not a union of H-orbits")
+
+
+@pytest.mark.parametrize(
+    "factors, extra",
+    [
+        ("3:1,5:1,7:1", ("--assignment", "105:110;15:11")),
+        ("3:1,7:1", ("--default",)),
+        ("3:2,5:1", ("--default",)),
+        ("3:1,5:1", ("--all-ones-top",)),
+        ("3:1,7:1", ("--degree-cap", "4")),
+    ],
+)
+@pytest.mark.parametrize("check", ["lemma1", "lemma2", "lemma3", "lemma4", "theorem1", "corollary"])
+def test_verify_one_check_prints_its_lines_of_all(capsys, factors, extra, check):
+    from dhseq import theorems
+
+    assert check in theorems.CHECKS
+    argv = ("verify", "--factors", factors, *extra)
+    _, all_out, _ = run(capsys, *argv, "--check", "all")
+    code, out, err = run(capsys, *argv, "--check", check)
+    if "--degree-cap" in extra and check in ("lemma3", "lemma4"):
+        # without the field these checks would check nothing
+        assert code == 2 and out == "" and "cap" in err
+        return
+    mine = [line for line in all_out.splitlines() if line.startswith(check)]
+    assert mine and out.splitlines() == mine
+    failed = any("applicable=true holds=false" in line for line in mine)
+    assert code == (1 if failed else 0)

@@ -291,3 +291,14 @@ def test_divisor_blocks_partition_nonzero_residues():
             assert not (block & seen)
             seen |= block
         assert seen == set(range(1, n))
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [("21:00", "must be nonzero"), ("21:1", "one bit per distinct prime"), ("10:1", "not a divisor")],
+)
+def test_assignment_parse_spec_names_the_line_and_the_reason(line, reason):
+    m = validate_modulus([(3, 1), (7, 1)])
+    with pytest.raises(AssignmentFormatError, match=reason) as info:
+        VectorAssignment.parse_spec(m, line)
+    assert info.value.line == line and repr(line) in str(info.value)

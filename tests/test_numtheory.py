@@ -301,3 +301,21 @@ def test_validate_modulus_period_bound():
         with pytest.raises(PeriodTooLarge) as exc:
             validate_modulus(factors)
         assert isinstance(exc.value, DHSeqError)
+
+
+def test_enumerated_moduli_are_freed_without_a_full_collection():
+    # a survey enumerates hundreds of moduli per call; held by a reference
+    # cycle they would wait for the next full collection
+    import gc
+
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert len(enumerate_valid_moduli(200)) > 10
+        gc.collect()
+        cyclic = [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert cyclic == []

@@ -254,3 +254,21 @@ def test_tampered_class_fails_lemma2_and_lemma3_like_the_sweep(monkeypatch, m, t
     assert got2 == lemma2_sweep(m, a, target, field)
     if tamper is swap_first:
         assert got2.holds is False
+
+
+def test_spectral_values_refuses_a_full_sweep_above_the_bound():
+    # spectrum itself keeps the full sweep (the lemma checks want its
+    # witnesses); only the spectral method stops before it starts
+    from dhseq.errors import DHSeqError
+    from dhseq.lincomp import MAX_FULL_SWEEP, is_orbit_union
+
+    m = validate_modulus([(8191, 1)])
+    assert m.n > MAX_FULL_SWEEP
+    field = build_field(m.n)
+    seq = generate(m, VectorAssignment.default(m))
+    assert is_orbit_union([j for j in range(m.n) if seq.packed >> j & 1], field.orbits())
+    assert lincomp_spectral(seq, field) == lincomp_gcd(seq)
+    raw = RawPeriod(seq.packed ^ 1 << 5, m.n)
+    assert not is_orbit_union([j for j in range(m.n) if raw.packed >> j & 1], field.orbits())
+    with pytest.raises(DHSeqError, match=f"above n={MAX_FULL_SWEEP}"):
+        spectral_values(raw, field)

@@ -401,3 +401,49 @@ def test_all_checks_goes_through_the_public_checks(monkeypatch):
     assert len(m.divisors_gt1()) == 15
     assert calls == Counter(lemma1=15, lemma2=15, lemma3=15, lemma4=1, theorem1=1, corollary=1)
     assert len(verdicts) == 48 and all(v.passed for v in verdicts)
+
+
+def _count_calls(monkeypatch, module, attr, calls):
+    real = getattr(module, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append((attr, args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, wrapper)
+
+
+def test_all_checks_lemma1_builds_odd_sum_pairs_and_no_period(monkeypatch):
+    from dhseq import cyclotomy, sequence
+
+    m = validate_modulus([(3, 1), (5, 1), (7, 1)])
+    assignment = VectorAssignment.parse_spec(m, "105:110\n15:11")
+    calls = []
+    _count_calls(monkeypatch, cyclotomy, "generalized_classes", calls)
+    _count_calls(monkeypatch, sequence, "generate", calls)
+    verdicts = theorems.all_checks(m, assignment, build_field(m.n), check="lemma1")
+    odd = [d for d in m.divisors_gt1() if sum(assignment.vector_for(d)) % 2]
+    assert len(odd) == len(m.divisors_gt1()) - 2
+    assert calls == [
+        ("generalized_classes", (m.divisor_factorization(d), assignment.vector_for(d)))
+        for d in odd
+    ]
+    assert verdicts == [check_lemma1(m, d, assignment.vector_for(d)) for d in m.divisors_gt1()]
+
+
+def test_all_checks_corollary_alone_generates_no_period_where_it_does_not_apply(monkeypatch):
+    from dhseq import lincomp, sequence
+
+    calls = []
+    _count_calls(monkeypatch, sequence, "generate", calls)
+    _count_calls(monkeypatch, lincomp, "lincomp_gcd", calls)
+    assignment = VectorAssignment.default(M21)
+    verdicts = theorems.all_checks(M21, assignment, None, check="corollary")
+    assert verdicts == [check_corollary(M21, assignment)]
+    assert verdicts[0].witness == "2 is not a primitive root modulo 7"
+    assert calls == []
+
+
+def test_all_checks_rejects_an_unknown_check():
+    with pytest.raises(ValueError, match="lemma5"):
+        theorems.all_checks(M21, VectorAssignment.default(M21), None, check="lemma5")
