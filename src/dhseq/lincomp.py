@@ -7,7 +7,6 @@ periods read from disk get the same treatment as constructed sequences.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -40,9 +39,14 @@ def lincomp_gcd(seq) -> int:
 
 # A block whose S_d is a union of H-orbits takes the rank route when
 # orbits(d)^2 * _RANK_COST <= d; any other non-irreducible block runs
-# Euclid. Euclid costs about d^2 bit operations and the rank route about
-# orbits(d)^2 * d, but the rank route pays more per step, so no block below
-# 9 * _RANK_COST = 4608 takes it (no block of a survey period does).
+# Euclid. Euclid costs about d^2 bit operations. With k = orbits(d), the
+# rank route (orbit_kernel) costs one tile build per label, sum of 2l + 1
+# over p^l || d, and at most 3k d-bit ANDs for the hit test, plus O(k^2)
+# small-int work for the Kronecker sum and a k x k rank; it holds the
+# tiles, that many d-bit ints, at once. The rule prices it too high. The
+# constant is kept only so that every block keeps its route: no block
+# below 9 * _RANK_COST = 4608 takes it (no block of a survey or verify
+# period does), and a retune moves routes.
 _RANK_COST = 512
 
 
@@ -118,48 +122,86 @@ def orbit_kernel(s: int, d: int, factors) -> int | None:
     theta_B of GF(2)[x]/(x^d + 1), and multiplication by it is a k x k
     matrix over GF(2), k the number of orbits: entry (C, B), the
     coefficient of x^c in S_d * theta_B for any c in C, is the parity of
-    |S_d & (c + A)| with A = -B. Over a field holding the d-th roots of
-    unity that algebra is the functions on the orbits, so the kernel
-    dimension k - rank counts the orbits where S vanishes. The columns are
-    built over A, which only reorders them.
+    |S_d & (c - B)|. Over a field holding the d-th roots of unity that
+    algebra is the functions on the orbits, so the kernel dimension
+    k - rank counts the orbits where S vanishes. The columns are built over
+    A = -B, which only reorders them.
 
     By CRT an orbit is one label of numtheory.prime_power_labels per prime
-    power q || d, and its mask is the AND of their masks, each tiled from q
-    to d bits by doubling shifts. One d-bit orbit mask is alive at a time.
-    A mask that meets S_d in part (the test lincomp.spectrum makes) ends
-    the route.
+    power q || d, and |O & (c + A)| is the product over q of the counts in
+    Z_q. So the matrix is the xor, over the orbits O of S_d, of the
+    Kronecker products of the q-tables numtheory.label_sum_parities gives
+    at the labels of O. It is summed over a trie of the orbits, one level
+    per prime power: each prefix takes the Kronecker product of its
+    table with the sum over its subtrie.
+
+    The only d-bit work is the hit test. Each label's mask is tiled once
+    from its period to d bits by doubling shifts, and a prefix's mask is
+    the AND of its labels' masks. A prefix that misses S_d is pruned; an
+    orbit that meets S_d in part (the test lincomp.spectrum makes) ends the
+    route.
     """
-    # reversed, so that parsed in base 2 the label of x lands at bit x
-    tables = [numtheory.prime_power_labels(p, l)[::-1] for p, l in factors]
-    orbits = list(itertools.product(*(range(2 * l + 1) for _, l in factors)))
-    # the rows: x * d/q summed over the least member x of each label (the
-    # last byte of its reversed table). d/q is a unit mod q, so by CRT this
-    # gives one member of every orbit, in another order, which leaves the
-    # rank alone as the column order does
-    reps = [
-        sum((len(t) - 1 - t.rfind(b)) * (d // len(t)) for b, t in zip(orbit, tables)) % d
-        for orbit in orbits
-    ]
-    columns = []
-    for orbit in orbits:
-        mask = (1 << d) - 1
-        for b, t in zip(orbit, tables):
-            q = len(t)
-            tile = int(t.translate(b"0" * b + b"1" + b"0" * (255 - b)), 2)
-            while q < d:
-                tile |= tile << q
-                q *= 2
-            mask &= tile
-        hit = s & mask
-        if hit and hit != mask:
-            return None
-        column = 0
-        for i, c in enumerate(reps):
-            # s & (mask rotated left by c), split at the wrap
-            parity = (s & mask << c).bit_count() + (s & mask >> (d - c)).bit_count()
-            column |= (parity & 1) << i
-        columns.append(column)
-    return len(orbits) - gf2poly.rank(columns)
+    full = (1 << d) - 1
+    tiles, kron, widths = [], [], [math.prod(2 * l + 1 for _, l in factors)]
+    for p, l in factors:
+        # the units u mod p with chi_p(u) = 0, 1, as base-2 digits
+        chi = numtheory.nonsquare_table(p)
+        units = [b"0" + chi[1:].translate(b"10" + bytes(254)), chi.translate(b"01" + bytes(254))]
+        level = []
+        for b in range(2 * l + 1):
+            if b:
+                # label (v, x) holds the u * p^v with chi_p(u) = x: period
+                # p^(v+1), written reversed, so that parsed in base 2 the
+                # bit of u * p^v lands at bit u * p^v
+                v, x = divmod(b - 1, 2)
+                width = p ** (v + 1)
+                pattern = bytearray(b"0") * width
+                pattern[width - 1 :: -(p**v)] = units[x]
+                tile = int(pattern, 2)
+            else:
+                tile, width = 1, p**l
+            while width < d:
+                tile |= tile << width
+                width *= 2
+            level.append(tile & full)
+        tiles.append(level)
+        # w is the width of a row of the levels below. Bit a of row c of a
+        # label's table is spread to bit a * w: the Kronecker product with a
+        # w-bit row r, the xor of r << a * w, is then r times the spread row
+        w = widths[-1] // (2 * l + 1)
+        widths.append(w)
+        steps = [1 << a * w for a in range(2 * l + 1)]
+        kron.append(
+            [
+                [sum(step for a, step in enumerate(steps) if bits >> a & 1) for bits in rows]
+                for rows in numtheory.label_sum_parities(p, l)
+            ]
+        )
+
+    def rows_under(j: int, mask: int) -> list[int] | None:
+        # the rows of the sum over the orbits of S_d below this prefix, []
+        # when there are none; None when one meets S_d in part
+        if j == len(factors):
+            hit = s & mask
+            return [] if not hit else [1] if hit == mask else None
+        if not s & mask:
+            return []
+        w = widths[j + 1]
+        total = [0] * widths[j]
+        for tile, table in zip(tiles[j], kron[j]):
+            rest = rows_under(j + 1, mask & tile)
+            if rest is None:
+                return None
+            if rest:
+                for c, spread in enumerate(table):
+                    if spread:
+                        for i, r in enumerate(rest, c * w):
+                            total[i] ^= r * spread
+        return total
+
+    rows = rows_under(0, full)
+    del rows_under  # a self-referring closure: without this the tiles wait for a full gc
+    return None if rows is None else widths[0] - gf2poly.rank(rows)
 
 
 class Spectrum:

@@ -6,13 +6,16 @@ became one packed int, the classes built from powers of a primitive root
 spectral sweeps the checks used before they shared the orbit-reduced
 engine, the one-shot Euclid the gcd route ran before it split x^n + 1
 into cyclotomic blocks, a per-block Euclid for the blocks the rank route
-counts, the GF(2^m) the spectral route used before it was re-based on the
-minimal polynomial of alpha, and small helpers only tests need; tests
-compare the fast routes against them.
+counts, the rank route's d-bit matrix build from before the per-prime-power
+parity tables and a count of those tables, the GF(2^m) the spectral route
+used before it was re-based on the minimal polynomial of alpha, and small
+helpers only tests need; tests compare the fast routes against them.
 """
 
 import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from dhseq import cyclotomy, gf2poly, lincomp, numtheory, sequence
@@ -276,6 +279,60 @@ def cyclotomic_by_division(d: int) -> int:
     q, r = divmod_((1 << d) | 1, den)
     assert r == 0
     return q
+
+
+# --- the rank route before the parity tables ---------------------------------
+
+
+def orbit_kernel_rotations(s: int, d: int, factors) -> int | None:
+    """lincomp.orbit_kernel by d-bit work: entry (c, A) of the matrix is
+    the parity of |S_d & (c + A)|, one rotate and popcount of the orbit
+    mask of A per representative c, each mask the AND of its labels' masks
+    tiled from q to d bits."""
+    # reversed, so that parsed in base 2 the label of x lands at bit x
+    tables = [numtheory.prime_power_labels(p, l)[::-1] for p, l in factors]
+    orbits = list(itertools.product(*(range(2 * l + 1) for _, l in factors)))
+    # x * d/q summed over the least member x of each label: d/q is a unit
+    # mod q, so by CRT this is one member of every orbit, in another order
+    reps = [
+        sum((len(t) - 1 - t.rfind(b)) * (d // len(t)) for b, t in zip(orbit, tables)) % d
+        for orbit in orbits
+    ]
+    columns = []
+    for orbit in orbits:
+        mask = (1 << d) - 1
+        for b, t in zip(orbit, tables):
+            q = len(t)
+            tile = int(t.translate(b"0" * b + b"1" + b"0" * (255 - b)), 2)
+            while q < d:
+                tile |= tile << q
+                q *= 2
+            mask &= tile
+        hit = s & mask
+        if hit and hit != mask:
+            return None
+        column = 0
+        for i, c in enumerate(reps):
+            # s & (mask rotated left by c), split at the wrap
+            parity = (s & mask << c).bit_count() + (s & mask >> (d - c)).bit_count()
+            column |= (parity & 1) << i
+        columns.append(column)
+    return len(orbits) - gf2poly.rank(columns)
+
+
+def label_sum_parities_by_count(p: int, l: int) -> list[list[int]]:
+    """numtheory.label_sum_parities by counting the label pairs
+    (label of x, label of r + x) over all x in Z_{p^l}, for the least
+    member r of each label c."""
+    labels = numtheory.prime_power_labels(p, l)
+    k = 2 * l + 1
+    table = [[0] * k for _ in range(k)]
+    for c in range(k):
+        r = labels.index(c)
+        shifted = labels[r:] + labels[:r]  # byte x: the label of r + x
+        for (a, o), count in Counter(zip(labels, shifted)).items():
+            table[o][c] ^= (count & 1) << a
+    return table
 
 
 # --- per-v spectral sweeps ---------------------------------------------------

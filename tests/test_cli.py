@@ -303,6 +303,28 @@ def test_survey_cap(capsys, tmp_path):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("extra", [0, 1, 1 << 24])
+def test_survey_past_the_period_bound_exits_2_before_enumerating(
+    extra, capsys, tmp_path, monkeypatch
+):
+    from dhseq import numtheory
+
+    def refuse(max_n):
+        raise AssertionError(f"enumerated up to {max_n}")
+
+    monkeypatch.setattr(numtheory, "enumerate_valid_moduli", refuse)
+    max_n = str(numtheory.MAX_PERIOD + extra)
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(
+        capsys, "survey", "--max-n", max_n, "--cap", max_n, "--mode", "default-all", "--out", str(out)
+    )
+    assert code == 2
+    assert err == (
+        f"error: --max-n {max_n} is not below the supported period bound {numtheory.MAX_PERIOD}\n"
+    )
+    assert stdout == "" and not out.exists()
+
+
 def test_parse_factors():
     assert cli.parse_factors("3:1,7:2") == [(3, 1), (7, 2)]
     assert cli.parse_factors("3,7") == [(3, 1), (7, 1)]

@@ -10,11 +10,25 @@ from dhseq.cli import main
 from dhseq.cyclotomy import VectorAssignment
 from dhseq.errors import MethodDisagreement
 from dhseq.lincomp import block_zero_counts, lincomp_bm, lincomp_gcd, orbit_kernel
-from dhseq.numtheory import factorize, h_orbits, validate_modulus
+from dhseq.numtheory import (
+    divisors,
+    factorize,
+    h_orbits,
+    is_prime,
+    label_sum_parities,
+    validate_modulus,
+)
 from dhseq.sequence import RawPeriod, delta, generate
 
 from conftest import valid_moduli
-from oracles import block_counts_euclid, cyclotomic_by_division, divmod_, lincomp_gcd_euclid
+from oracles import (
+    block_counts_euclid,
+    cyclotomic_by_division,
+    divmod_,
+    label_sum_parities_by_count,
+    lincomp_gcd_euclid,
+    orbit_kernel_rotations,
+)
 
 
 def primes_of(d):
@@ -298,3 +312,35 @@ def test_rank_count_guard_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "ord_4643(2) = 422" in captured.err and captured.out == ""
+
+
+# --- the parity tables ---------------------------------------------------------
+
+
+def test_closed_form_parity_tables_match_a_count():
+    for p in filter(is_prime, range(3, 44, 2)):
+        l = 1
+        while p**l <= 300_000:
+            assert label_sum_parities(p, l) == label_sum_parities_by_count(p, l), (p, l)
+            l += 1
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [(499, 1), (503, 1)],
+        [(5, 1), (7, 1), (11351, 1)],
+        [(3, 2), (12899, 1)],
+        [(7, 6)],
+        [(1019, 1), (1031, 1)],
+        [(4643, 1)],
+        [(131, 1), (317, 1)],
+    ],
+)
+def test_orbit_kernel_matches_rotations(factors):
+    m = validate_modulus(factors)
+    for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
+        packed = generate(m, make(m)).packed
+        for d in divisors(factorize(m.n)):
+            s = gf2poly.fold(packed, d)
+            assert orbit_kernel(s, d, factorize(d)) == orbit_kernel_rotations(s, d, factorize(d))
