@@ -150,9 +150,9 @@ def orbit_kernel(s: int, d: int, factors) -> int | None:
         level = []
         for b in range(2 * l + 1):
             if b:
-                # label (v, x) holds the u * p^v with chi_p(u) = x: period
-                # p^(v+1), written reversed, so that parsed in base 2 the
-                # bit of u * p^v lands at bit u * p^v
+                # label (v, x) is the y = u * p^v mod p^(v+1), u in 1..p-1
+                # with chi_p(u) = x: period p^(v+1), written reversed, so
+                # that parsed in base 2 the digit of y lands at bit y
                 v, x = divmod(b - 1, 2)
                 width = p ** (v + 1)
                 pattern = bytearray(b"0") * width
@@ -183,7 +183,9 @@ def orbit_kernel(s: int, d: int, factors) -> int | None:
         # when there are none; None when one meets S_d in part
         if j == len(factors):
             hit = s & mask
-            return [] if not hit else [1] if hit == mask else None
+            if hit and hit != mask:
+                return None
+            return [1] if hit else []
         if not s & mask:
             return []
         w = widths[j + 1]
