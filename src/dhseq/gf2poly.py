@@ -36,6 +36,12 @@ def mul(a: int, b: int) -> int:
     return acc
 
 
+def square(a: int) -> int:
+    """a^2 = a(x^2) over GF(2): bit i moves to bit 2i, done at C speed by
+    reading the binary digits of a as base-4 digits."""
+    return int(format(a, "b"), 4)
+
+
 def mod(a: int, b: int) -> int:
     """Remainder of a modulo b, for nonzero b."""
     if b == 0:
@@ -135,7 +141,7 @@ def powmod(a: int, k: int, m: int) -> int:
     while k:
         if k & 1:
             acc = mod(mul(acc, a), m)
-        a = mod(mul(a, a), m)
+        a = mod(square(a), m)
         k >>= 1
     return acc
 
@@ -152,7 +158,7 @@ def is_irreducible(f: int) -> bool:
     checkpoints = {m // q for q, _ in numtheory.factorize(m)}
     h = x
     for k in range(1, m + 1):
-        h = mod(mul(h, h), f)
+        h = mod(square(h), f)
         if k in checkpoints and gcd(h ^ x, f) != 1:
             return False
     return h == x
@@ -210,8 +216,10 @@ class BinaryField:
     """GF(2^m) as GF(2)[x]/(g), g the minimal polynomial of a fixed n-th root
     of unity alpha, so alpha = x; elements are ints < 2^m.
 
-    Immutable after construction; the power table for alpha and the
-    H-orbits of Z_n are cached on first use and shared by every evaluation.
+    Immutable after construction. Three tables are cached on first use and
+    shared by every evaluation: the n powers of alpha, the H-orbits of Z_n
+    and the k orbit sums (the Gauss periods) that reduced spectra are built
+    from.
     """
 
     alpha = 2  # x
@@ -222,6 +230,7 @@ class BinaryField:
         self.modulus_poly = modulus_poly
         self._alpha_pow = None
         self._orbits = None
+        self._orbit_sums = None
 
     def mul(self, a: int, b: int) -> int:
         return mod(mul(a, b), self.modulus_poly)
@@ -248,6 +257,16 @@ class BinaryField:
         if self._orbits is None:
             self._orbits = numtheory.h_orbits(self.n)
         return self._orbits
+
+    def orbit_sums(self) -> tuple[int, ...]:
+        """P[j], the sum of alpha^e over the members e of H-orbit j, in one
+        pass over the power table and the orbit labels."""
+        if self._orbit_sums is None:
+            sums = [0] * len(self.orbits().reps)
+            for power, label in zip(self.alpha_powers(), self.orbits().labels):
+                sums[label] ^= power
+            self._orbit_sums = tuple(sums)
+        return self._orbit_sums
 
     def subset_eval(self, exponents, v: int = 1) -> int:
         """Sum over the exponent set of alpha^(e*v)."""

@@ -211,11 +211,12 @@ class Spectrum:
     in Z_n, held as one value per orbit.
 
     When the set is a union of H-orbits (reduced) the orbits are those of
-    BinaryField.orbits() and S is constant on each; otherwise every v is
-    its own orbit. Either way reps[k] is the least member of orbit k,
-    ascending, values[k] = S(alpha^reps[k]), and labels[v] is the orbit
-    of v. (A plain class: a frozen record class here would cost a
-    millisecond of import time.)
+    BinaryField.orbits() and S is constant on each, so the values are built
+    from the field's orbit sums; otherwise every v is its own orbit and is
+    evaluated by BinaryField.subset_eval. Either way reps[k] is the least
+    member of orbit k, ascending, values[k] = S(alpha^reps[k]), and
+    labels[v] is the orbit of v. (A plain class: a frozen record class here
+    would cost a millisecond of import time.)
     """
 
     __slots__ = ("reduced", "reps", "values", "labels")
@@ -232,26 +233,49 @@ class Spectrum:
         return self.values[self.labels[v]]
 
 
+def _orbit_cover(exps, orbits: numtheory.HOrbits) -> list[int] | None:
+    """The H-orbits whose union is a set of distinct exponents in [0, n),
+    or None when the set meets some orbit in part, by an O(|exps|) count of
+    hits per orbit."""
+    hits = Counter(map(orbits.labels.__getitem__, exps))
+    if all(orbits.sizes[k] == count for k, count in hits.items()):
+        return list(hits)
+    return None
+
+
 def is_orbit_union(exps, orbits: numtheory.HOrbits) -> bool:
     """Whether a set of distinct exponents in [0, n) meets every H-orbit in
-    all or none of its members, by an O(|exps|) count of hits per orbit."""
-    hits = Counter(map(orbits.labels.__getitem__, exps))
-    return all(orbits.sizes[k] == count for k, count in hits.items())
+    all or none of its members."""
+    return _orbit_cover(exps, orbits) is not None
 
 
 def spectrum(exps, field: BinaryField) -> Spectrum:
     """Evaluate S(alpha^v) for a set of distinct exponents in [0, n).
 
-    The set is reduced when is_orbit_union holds; otherwise all n values
-    are evaluated. field.subset_eval is called once per orbit.
+    When the set is a union of H-orbits (is_orbit_union), S is reduced to
+    one value per orbit, built from the field's orbit sums P: multiplying
+    by r maps an orbit O = H*o onto the orbit rO of r*o, every member of
+    rO hit |O|/|rO| times (the fibres are cosets of the stabiliser of o),
+    so S(alpha^r) is the xor of P[rO] over the orbits O of the set with
+    |O|/|rO| odd. That is O(k * k_E) small-int work for k orbits, k_E of
+    them in the set. Any other set takes field.subset_eval at all n values.
     """
     orbits = field.orbits()
-    if is_orbit_union(exps, orbits):
-        reduced, reps, labels = True, orbits.reps, orbits.labels
-    else:
-        reduced, reps, labels = False, range(field.n), range(field.n)
-    values = tuple(field.subset_eval(exps, r) for r in reps)
-    return Spectrum(reduced, reps, values, labels)
+    cover = _orbit_cover(exps, orbits)
+    if cover is None:
+        reps = range(field.n)
+        return Spectrum(False, reps, tuple(field.subset_eval(exps, r) for r in reps), reps)
+    n, labels, sizes, sums = field.n, orbits.labels, orbits.sizes, field.orbit_sums()
+    members = [(orbits.reps[j], sizes[j]) for j in cover]
+    values = []
+    for r in orbits.reps:
+        acc = 0
+        for o, size in members:
+            j = labels[r * o % n]
+            if size // sizes[j] & 1:
+                acc ^= sums[j]
+        values.append(acc)
+    return Spectrum(True, orbits.reps, tuple(values), labels)
 
 
 def common_reps(*spectra: Spectrum) -> Sequence[int]:

@@ -4,7 +4,8 @@ These are the per-index and per-bit routes the package used before a period
 became one packed int, the classes built from powers of a primitive root
 (the package decides every class from the chi_p tables instead), the per-v
 spectral sweeps the checks used before they shared the orbit-reduced
-engine, the one-shot Euclid the gcd route ran before it split x^n + 1
+engine, that engine's per-representative sums from before it read the
+field's orbit sums, the one-shot Euclid the gcd route ran before it split x^n + 1
 into cyclotomic blocks, a per-block Euclid for the blocks the rank route
 counts, the rank route's d-bit matrix build from before the per-prime-power
 parity tables and a count of those tables, the GF(2^m) the spectral route
@@ -336,6 +337,19 @@ def label_sum_parities_by_count(p: int, l: int) -> list[list[int]]:
 
 
 # --- per-v spectral sweeps ---------------------------------------------------
+
+
+def spectrum_by_subset_eval(exps, field) -> lincomp.Spectrum:
+    """lincomp.spectrum with one field.subset_eval, a sum over the whole
+    set, per representative: the orbit minima when the set is a union of
+    H-orbits, every v otherwise."""
+    orbits = field.orbits()
+    if lincomp.is_orbit_union(exps, orbits):
+        reduced, reps, labels = True, orbits.reps, orbits.labels
+    else:
+        reduced, reps, labels = False, range(field.n), range(field.n)
+    values = tuple(field.subset_eval(exps, r) for r in reps)
+    return lincomp.Spectrum(reduced, reps, values, labels)
 
 
 def spectral_values_sweep(seq, field) -> list[int]:

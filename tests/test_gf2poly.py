@@ -15,6 +15,7 @@ from dhseq.gf2poly import (
     mul,
     powmod,
     smallest_irreducible,
+    square,
 )
 
 from oracles import alpha_power, divmod_, eval_poly, from_bits, smallest_irreducible_field
@@ -114,6 +115,15 @@ def test_gcd_divides_both(a, b):
         return
     g = gcd(a, b)
     assert mod(a, g) == 0 and mod(b, g) == 0
+
+
+def test_square_of_zero():
+    assert square(0) == 0
+
+
+@given(st.integers(min_value=0, max_value=(1 << 300) - 1))
+def test_square_matches_mul(a):
+    assert square(a) == mul(a, a)
 
 
 def test_powmod():

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dhseq import cyclotomy, sequence
+from dhseq import cyclotomy, lincomp, sequence
 from dhseq.cyclotomy import VectorAssignment
 from dhseq.gf2poly import build_field
 from dhseq.lincomp import (
@@ -18,7 +18,7 @@ from dhseq.lincomp import (
 )
 from dhseq.numtheory import factorize, h_orbits, order_of_two, validate_modulus
 from dhseq.sequence import DHSequence, RawPeriod, generate
-from dhseq.theorems import check_lemma2, check_lemma3, check_lemma4, check_theorem1
+from dhseq.theorems import all_checks, check_lemma2, check_lemma3, check_lemma4, check_theorem1
 
 import oracles
 from conftest import valid_moduli
@@ -27,10 +27,12 @@ from oracles import (
     lemma3_sweep,
     lemma4_sweep,
     spectral_values_sweep,
+    spectrum_by_subset_eval,
     theorem1_sweep,
 )
 
 FIELD_MODULI = tuple(m for m in valid_moduli(300) if order_of_two(m.n) <= 64)
+FIELD_MODULI_2000 = tuple(m for m in valid_moduli(2000) if order_of_two(m.n) <= 64)
 
 
 def omega(d: int) -> int:
@@ -91,6 +93,52 @@ def test_engine_matches_sweep_every_field_modulus():
             assert spectral_values(seq, field) == spectral_values_sweep(seq, field), m.n
             exps = [i for i in range(m.n) if seq.packed >> i & 1]
             assert spectrum(exps, field).reduced, m.n
+
+
+def test_orbit_sums_are_the_per_orbit_sums_of_the_power_table():
+    for m in FIELD_MODULI_2000:
+        field = build_field(m.n)
+        orbits = field.orbits()
+        members = [[] for _ in orbits.reps]
+        for e, label in enumerate(orbits.labels):
+            members[label].append(e)
+        sums = field.orbit_sums()
+        assert sums == tuple(field.subset_eval(orbit) for orbit in members), m.n
+        assert sums[0] == 1, m.n  # the orbit {0}
+        assert field.orbit_sums() is sums, m.n
+
+
+def test_engine_matches_per_representative_sums_for_every_checked_set(monkeypatch):
+    # every exponent set that spectral_values and the lemma2, lemma3,
+    # lemma4 and theorem1 checks hand to spectrum, for every field modulus
+    # to 2000 under both assignments
+    real = lincomp.spectrum
+    built = []
+
+    def recording(exps, field):
+        spec = real(exps, field)
+        built.append((exps, spec))
+        return spec
+
+    monkeypatch.setattr(lincomp, "spectrum", recording)
+    for m in FIELD_MODULI_2000:
+        field = build_field(m.n)
+        for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
+            a = make(m)
+            spectral_values(generate(m, a), field)
+            all_checks(m, a, field)
+        assert built, m.n
+        seen = set()
+        for exps, got in built:
+            key = frozenset(exps)
+            if key in seen:
+                continue
+            seen.add(key)
+            want = spectrum_by_subset_eval(exps, field)
+            assert got.reduced == want.reduced, m.n
+            assert list(got.reps) == list(want.reps), m.n
+            assert got.values == want.values, (m.n, sorted(exps)[:8])
+        built.clear()
 
 
 @st.composite
