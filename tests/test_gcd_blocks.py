@@ -16,6 +16,7 @@ from dhseq.numtheory import (
     h_orbits,
     is_prime,
     label_sum_parities,
+    multiplicative_order,
     validate_modulus,
 )
 from dhseq.sequence import RawPeriod, delta, generate
@@ -239,31 +240,34 @@ def spy(monkeypatch, module, name):
     return calls
 
 
-# The block of the prime 4643 takes the rank route (3 orbits, 9 * 512 <=
-# 4643), and Phi_4643 is reducible: ord_4643(2) = 422, and its orbit size
-# 2321 is no multiple of 422, so an off-by-one kernel breaks the guard.
-# 131*317 has 9 orbits (81 * 512 <= 41527). 7^6 has 13 (169 * 512 <=
-# 117649), and only its top block takes the route.
+# The rank route takes every reducible block of 4608 or more;
+# RANK_ROUTE_BLOCKS lists them by n. Phi_4643 is reducible: ord_4643(2) =
+# 422, and its orbit size 2321 is no multiple of 422, so an off-by-one
+# kernel breaks the guard. Of 131*317 only the top block is that large; of
+# 7^6 the blocks 7^5 and 7^6 are, and every Phi_7^l is reducible
+# (ord_7(2) = 3).
 RANK_ROUTE_MODULI = [[(4643, 1)], [(131, 1), (317, 1)], [(7, 6)]]
+RANK_ROUTE_BLOCKS = {4643: [4643], 41527: [41527], 117649: [16807, 117649]}
 
 
 @pytest.mark.parametrize("factors", RANK_ROUTE_MODULI)
 def test_flipped_and_rotated_periods_fall_back_to_euclid(factors, monkeypatch):
     m = validate_modulus(factors)
     n = m.n
+    blocks = RANK_ROUTE_BLOCKS[n]
     packed = generate(m, VectorAssignment.default(m)).packed
     kernels = spy(monkeypatch, lincomp, "orbit_kernel")
     euclid = spy(monkeypatch, gf2poly, "gcd")
     block_zero_counts(packed, n)
-    assert [args[1] for args, out in kernels if out is not None] == [n]
-    assert phi(n) not in [gf2poly.degree(args[1]) for args, _ in euclid]
+    assert [args[1] for args, out in kernels if out is not None] == blocks
+    assert not {phi(d) for d in blocks} & {gf2poly.degree(args[1]) for args, _ in euclid}
     rotated = (packed << 5 | packed >> (n - 5)) & ((1 << n) - 1)
     for other in (packed ^ 2, rotated):
         kernels.clear()
         euclid.clear()
         assert block_zero_counts(other, n) == block_counts_euclid(other, n)
-        assert [args[1] for args, out in kernels if out is None] == [n]
-        assert phi(n) in [gf2poly.degree(args[1]) for args, _ in euclid]
+        assert [args[1] for args, out in kernels if out is None] == blocks
+        assert {phi(d) for d in blocks} <= {gf2poly.degree(args[1]) for args, _ in euclid}
 
 
 def test_lincomp_gcd_at_1019_1031():
@@ -271,8 +275,19 @@ def test_lincomp_gcd_at_1019_1031():
     assert lincomp_gcd(generate(m, VectorAssignment.default(m))) == 1_050_074
 
 
+T6 = [(3, 1), (5, 1), (7, 1), (11, 1), (23, 1), (47, 1)]
+
+
 @pytest.mark.parametrize(
-    "factors", [[(499, 1), (503, 1)], [(5, 1), (7, 1), (11351, 1)], [(3, 2), (12899, 1)]]
+    "factors",
+    [
+        [(499, 1), (503, 1)],
+        [(5, 1), (7, 1), (11351, 1)],
+        [(3, 2), (12899, 1)],
+        [(3, 1), (8191, 1)],
+        [(3, 1), (5, 1), (2731, 1)],
+        T6,
+    ],
 )
 def test_large_top_blocks_make_no_euclid_call(factors, monkeypatch):
     m = validate_modulus(factors)
@@ -281,6 +296,38 @@ def test_large_top_blocks_make_no_euclid_call(factors, monkeypatch):
     lincomp_gcd(generate(m, VectorAssignment.default(m)))
     assert phi(m.n) not in [gf2poly.degree(args[1]) for args, _ in euclid]
     assert kernels[-1][0][1] == m.n and kernels[-1][1] is not None
+
+
+# L as a per-block Euclid gives it
+@pytest.mark.parametrize(
+    "factors, L_default, L_all_ones_top",
+    [
+        ([(3, 2), (12899, 1)], 116_090, 116_090),
+        ([(3, 1), (5, 1), (2731, 1)], 40_965, 40_965),
+        (T6, 1_212_341, 969_461),
+    ],
+)
+def test_every_large_reducible_block_takes_the_rank_route(
+    factors, L_default, L_all_ones_top, monkeypatch
+):
+    m = validate_modulus(factors)
+    large = [
+        d
+        for d in divisors(factorize(m.n))
+        if d >= 4608 and multiplicative_order(2, d) != phi(d)
+    ]
+    assert large
+    euclid = spy(monkeypatch, gf2poly, "gcd")
+    kernels = spy(monkeypatch, lincomp, "orbit_kernel")
+    for make, L in (
+        (VectorAssignment.default, L_default),
+        (VectorAssignment.all_ones_top, L_all_ones_top),
+    ):
+        euclid.clear()
+        kernels.clear()
+        assert lincomp_gcd(generate(m, make(m))) == L
+        assert [args[1] for args, out in kernels if out is not None] == large
+        assert not {phi(d) for d in large} & {gf2poly.degree(args[1]) for args, _ in euclid}
 
 
 def test_survey_and_verify_moduli_keep_their_routes(monkeypatch):
