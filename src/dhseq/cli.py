@@ -250,7 +250,6 @@ def cmd_survey(args) -> int:
         else:
             assignment = VectorAssignment.default(modulus)
         rows.append(survey_row(modulus, assignment, args.degree_cap))
-    rows.sort(key=lambda r: (r["n"], r["factors"]))
     with open(args.out, "w", newline="") as fh:
         # DictWriter raises on a key outside CSV_HEADER
         writer = csv.DictWriter(fh, CSV_HEADER)

@@ -71,7 +71,12 @@ def block_zero_counts(packed: int, n: int) -> dict[int, int]:
     """
     factors = numtheory.factorize(n)
     primes = [p for p, _ in factors]
-    divisors = numtheory.divisors(factors)
+    blocks = {1: ()}  # the (prime, exponent) pairs of every d | n
+    for p, e in factors:
+        blocks = {
+            d * p**l: f + ((p, l),) if l else f for d, f in blocks.items() for l in range(e + 1)
+        }
+    divisors = sorted(blocks)
     folded = {n: packed}
     for d in reversed(divisors[:-1]):
         p = next(p for p in primes if n % (d * p) == 0)
@@ -79,18 +84,17 @@ def block_zero_counts(packed: int, n: int) -> dict[int, int]:
     counts = {1: 1 - folded[1]}
     orbit_zeros = {1: counts[1]}  # z(e) of the blocks done so far
     for d in divisors[1:]:
-        dprimes = [p for p in primes if d % p == 0]
-        phi = d
-        for p in dprimes:
-            phi = phi // p * (p - 1)
-        size = phi >> len(dprimes)  # phi(d) / 2^omega(d), one H-orbit of units
+        dfactors = blocks[d]
+        phi = math.prod(p ** (l - 1) * (p - 1) for p, l in dfactors)
+        size = phi >> len(dfactors)  # phi(d) / 2^omega(d), one H-orbit of units
         order = numtheory.multiplicative_order(2, d)
         kernel = None
         if order != phi and d >= _RANK_FLOOR:
-            kernel = orbit_kernel(folded[d], d, numtheory.factorize(d))
+            kernel = orbit_kernel(folded[d], d, dfactors)
         if kernel is not None:
             count = (kernel - sum(z for e, z in orbit_zeros.items() if d % e == 0)) * size
         else:
+            dprimes = [p for p, _ in dfactors]
             r = gf2poly.cyclotomic_mod(folded[d], d, dprimes)
             if order == phi:
                 count = 0 if r else phi
@@ -128,75 +132,71 @@ def orbit_kernel(s: int, d: int, factors) -> int | None:
     per prime power: each prefix takes the Kronecker product of its
     table with the sum over its subtrie.
 
-    The only d-bit work is the hit test. Each label's mask is tiled once
-    from its period to d bits by doubling shifts, and a prefix's mask is
-    the AND of its labels' masks. A prefix that misses S_d is pruned; an
-    orbit that meets S_d in part (the test lincomp.spectrum makes) ends the
-    route.
+    The only d-bit work is the hit test. Each label's mask is one period
+    of numtheory.prime_power_labels, tiled once to d bits by doubling
+    shifts, and a prefix's mask is the AND of its labels' masks. A prefix
+    that misses S_d is pruned; an orbit that meets S_d in part (the test
+    lincomp.spectrum makes) ends the route.
     """
     full = (1 << d) - 1
-    tiles, kron, widths = [], [], [math.prod(2 * l + 1 for _, l in factors)]
+    k = math.prod(2 * l + 1 for _, l in factors)
+    w, levels = k, []
     for p, l in factors:
-        # the units u mod p with chi_p(u) = 0, 1, as base-2 digits
-        chi = numtheory.nonsquare_table(p)
-        units = [b"0" + chi[1:].translate(b"10" + bytes(254)), chi.translate(b"01" + bytes(254))]
-        level = []
+        q = p**l
+        # reversed, so that parsed in base 2 the label of x lands at bit x
+        labels = numtheory.prime_power_labels(p, l)[::-1]
+        tiles = []
         for b in range(2 * l + 1):
             if b:
-                # label (v, x) is the y = u * p^v mod p^(v+1), u in 1..p-1
-                # with chi_p(u) = x: period p^(v+1), written reversed, so
-                # that parsed in base 2 the digit of y lands at bit y
-                v, x = divmod(b - 1, 2)
-                width = p ** (v + 1)
-                pattern = bytearray(b"0") * width
-                pattern[width - 1 :: -(p**v)] = units[x]
-                tile = int(pattern, 2)
+                # label b, of valuation v = (b - 1) // 2, repeats with period
+                # p^(v+1): its tile is one period, the last p^(v+1) entries
+                width = p ** ((b + 1) // 2)
+                tile = int(labels[q - width :].translate(b"0" * b + b"1" + b"0" * (255 - b)), 2)
             else:
-                tile, width = 1, p**l
+                tile, width = 1, q
             while width < d:
                 tile |= tile << width
                 width *= 2
-            level.append(tile & full)
-        tiles.append(level)
+            tiles.append(tile & full)
         # w is the width of a row of the levels below. Bit a of row c of a
         # label's table is spread to bit a * w: the Kronecker product with a
         # w-bit row r, the xor of r << a * w, is then r times the spread row
-        w = widths[-1] // (2 * l + 1)
-        widths.append(w)
+        w //= 2 * l + 1
         steps = [1 << a * w for a in range(2 * l + 1)]
-        kron.append(
-            [
-                [sum(step for a, step in enumerate(steps) if bits >> a & 1) for bits in rows]
-                for rows in numtheory.label_sum_parities(p, l)
-            ]
-        )
+        tables = [
+            [sum(step for a, step in enumerate(steps) if bits >> a & 1) for bits in rows]
+            for rows in numtheory.label_sum_parities(p, l)
+        ]
+        levels.append((tiles, tables, w))
+    rows = _orbit_rows(s, levels, 0, full)
+    return None if rows is None else k - gf2poly.rank(rows)
 
-    def rows_under(j: int, mask: int) -> list[int] | None:
-        # the rows of the sum over the orbits of S_d below this prefix, []
-        # when there are none; None when one meets S_d in part
-        if j == len(factors):
-            hit = s & mask
-            if hit and hit != mask:
-                return None
-            return [1] if hit else []
-        if not s & mask:
-            return []
-        w = widths[j + 1]
-        total = [0] * widths[j]
-        for tile, table in zip(tiles[j], kron[j]):
-            rest = rows_under(j + 1, mask & tile)
-            if rest is None:
-                return None
-            if rest:
-                for c, spread in enumerate(table):
-                    if spread:
-                        for i, r in enumerate(rest, c * w):
-                            total[i] ^= r * spread
-        return total
 
-    rows = rows_under(0, full)
-    del rows_under  # a self-referring closure: without this the tiles wait for a full gc
-    return None if rows is None else widths[0] - gf2poly.rank(rows)
+def _orbit_rows(s: int, levels, j: int, mask: int) -> list[int] | None:
+    """The rows of the sum over the orbits of S_d = s below a trie prefix
+    that fixes the labels of prime powers 0..j-1, whose masks AND to mask:
+    [] when there are none, None when one meets S_d in part. levels[j]
+    holds the label tiles, the spread tables and the row width w of prime
+    power j (orbit_kernel)."""
+    if j == len(levels):
+        hit = s & mask
+        if hit and hit != mask:
+            return None
+        return [1] if hit else []
+    if not s & mask:
+        return []
+    tiles, tables, w = levels[j]
+    total = [0] * (len(tiles) * w)
+    for tile, table in zip(tiles, tables):
+        rest = _orbit_rows(s, levels, j + 1, mask & tile)
+        if rest is None:
+            return None
+        if rest:
+            for c, spread in enumerate(table):
+                if spread:
+                    for i, r in enumerate(rest, c * w):
+                        total[i] ^= r * spread
+    return total
 
 
 class Spectrum:

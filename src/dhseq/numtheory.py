@@ -1,9 +1,10 @@
 """Elementary number theory underpinning the sequence construction.
 
-Everything here is deterministic and pure: primality is Miller-Rabin with a
-fixed witness set (exact below 2**64), primitive roots are always the
-smallest positive ones, and factorization is plain trial division (periods
-arrive factored; only totients and small survey inputs get factored here).
+Everything here is deterministic and pure: factorization is plain trial
+division (periods arrive factored and below MAX_PERIOD; only their primes,
+totients and small survey inputs get factored here), primality is a
+factorization, exact for every n, and primitive roots are always the
+smallest positive ones.
 """
 
 from __future__ import annotations
@@ -18,38 +19,9 @@ from typing import NamedTuple
 
 from .errors import EvenOrRepeatedPrime, GcdConditionViolated, NotPrime, PeriodTooLarge
 
-# Witness set proving primality for every integer below 3.3e24 (> 2**64).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 # Periods are materialized as n bytes and n-entry tables, and the lemma
 # checks build classes by scanning Z_d, so n must stay far below memory.
 MAX_PERIOD = 1 << 24
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < 2**64."""
-    if n < 2:
-        return False
-    if n in _MR_WITNESSES:
-        return True
-    if any(n % p == 0 for p in _MR_WITNESSES):
-        return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -77,6 +49,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division (factorize): exact for every n, in
+    O(sqrt(n)) steps, so validate_modulus asks only below MAX_PERIOD."""
+    return n > 1 and factorize(n) == [(n, 1)]
 
 
 def divisors(factors) -> list[int]:
@@ -366,22 +344,23 @@ def enumerate_valid_moduli(max_n: int) -> list[Modulus]:
     """Every valid modulus with n <= max_n, ascending by n."""
     primes = _odd_primes_upto(max_n)
     out: list[Modulus] = []
-
-    def extend(idx: int, facs: tuple[tuple[int, int], ...], units: tuple[int, ...], n: int):
-        if facs:
-            out.append(Modulus(facs, n))
-        for j in range(idx, len(primes)):
-            p = primes[j]
-            if n * p > max_n:
-                break
-            q, e = p, 1
-            while n * q <= max_n:
-                u = q // p * (p - 1)
-                if all(math.gcd(u, v) == 2 for v in units):
-                    extend(j + 1, facs + ((p, e),), units + (u,), n * q)
-                q *= p
-                e += 1
-
-    extend(0, (), (), 1)
-    del extend  # a self-referring closure: without this the moduli wait for a full gc
-    return sorted(out, key=lambda m: m.n)
+    # (j, factors, totients, n): the products of n with powers of primes[j]
+    # and later primes are still to be tried
+    stack = [(0, (), (), 1)]
+    while stack:
+        j, facs, units, n = stack.pop()
+        if j == len(primes) or n * primes[j] > max_n:
+            continue
+        p = primes[j]
+        stack.append((j + 1, facs, units, n))  # the products without p
+        q, e = p, 1
+        while n * q <= max_n:
+            u = q // p * (p - 1)
+            if all(math.gcd(u, v) == 2 for v in units):
+                grown = facs + ((p, e),)
+                out.append(Modulus(grown, n * q))
+                stack.append((j + 1, grown, units + (u,), n * q))
+            q *= p
+            e += 1
+    out.sort(key=lambda m: m.n)
+    return out

@@ -9,8 +9,10 @@ field's orbit sums, the one-shot Euclid the gcd route ran before it split x^n + 
 into cyclotomic blocks, a per-block Euclid for the blocks the rank route
 counts, the rank route's d-bit matrix build from before the per-prime-power
 parity tables and a count of those tables, the GF(2^m) the spectral route
-used before it was re-based on the minimal polynomial of alpha, and small
-helpers only tests need; tests compare the fast routes against them.
+used before it was re-based on the minimal polynomial of alpha, the
+Miller-Rabin primality test the package used before it tested primes by
+factorization, and small helpers only tests need; tests compare the fast
+routes against them.
 """
 
 import functools
@@ -77,6 +79,38 @@ def generate_by_index(modulus, assignment) -> int:
         d = n // g
         bits[i] = class_index(i // g, facs[d], vecs[d])
     return int("".join(map(str, reversed(bits))), 2)
+
+
+# --- primality ---------------------------------------------------------------
+
+# Witness set proving primality for every integer below 3.3e24 (> 2**64).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime_miller_rabin(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < 2**64."""
+    if n < 2:
+        return False
+    if n in _MR_WITNESSES:
+        return True
+    if any(n % p == 0 for p in _MR_WITNESSES):
+        return False
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # --- classes from powers of a primitive root ---------------------------------

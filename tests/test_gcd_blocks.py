@@ -305,6 +305,7 @@ def test_large_top_blocks_make_no_euclid_call(factors, monkeypatch):
         ([(3, 2), (12899, 1)], 116_090, 116_090),
         ([(3, 1), (5, 1), (2731, 1)], 40_965, 40_965),
         (T6, 1_212_341, 969_461),
+        ([(3, 3), (5, 2), (23, 1)], 15_514, 15_514),
     ],
 )
 def test_every_large_reducible_block_takes_the_rank_route(
@@ -328,6 +329,28 @@ def test_every_large_reducible_block_takes_the_rank_route(
         assert lincomp_gcd(generate(m, make(m))) == L
         assert [args[1] for args, out in kernels if out is not None] == large
         assert not {phi(d) for d in large} & {gf2poly.degree(args[1]) for args, _ in euclid}
+
+
+def test_rank_route_leaves_no_cyclic_garbage(monkeypatch):
+    # the rank route builds d-bit tiles per label; held by a reference
+    # cycle they would wait for the next full collection
+    import gc
+
+    m = validate_modulus([(499, 1), (503, 1)])
+    seq = generate(m, VectorAssignment.default(m))
+    kernels = spy(monkeypatch, lincomp, "orbit_kernel")
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert lincomp_gcd(seq) == 250_746
+        gc.collect()
+        cyclic = [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert kernels[-1][0][1] == m.n and kernels[-1][1] is not None
+    assert cyclic == []
 
 
 def test_survey_and_verify_moduli_keep_their_routes(monkeypatch):
@@ -382,6 +405,7 @@ def test_closed_form_parity_tables_match_a_count():
         [(1019, 1), (1031, 1)],
         [(4643, 1)],
         [(131, 1), (317, 1)],
+        [(3, 3), (5, 2), (23, 1)],
     ],
 )
 def test_orbit_kernel_matches_rotations(factors):

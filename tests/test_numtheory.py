@@ -20,7 +20,7 @@ from dhseq.numtheory import (
 )
 
 from conftest import valid_moduli
-from oracles import crt_view, legendre
+from oracles import crt_view, is_prime_miller_rabin, legendre
 
 
 # Brute-force oracles, deliberately independent of the implementation paths.
@@ -54,6 +54,14 @@ def test_is_prime_larger_cases():
     assert not is_prime(2**32 + 1)
     assert is_prime(1_000_003)
     assert not is_prime(1_000_001)  # 101 * 9901
+
+
+def test_is_prime_matches_miller_rabin():
+    for n in range(200_000):
+        assert is_prime(n) == is_prime_miller_rabin(n), n
+    top = numtheory.MAX_PERIOD
+    for n in range(top - 2000 + 1, top, 2):
+        assert is_prime(n) == is_prime_miller_rabin(n), n
 
 
 def test_factorize_recombines():
