@@ -1,6 +1,6 @@
 """Generalized cyclotomic binary sequences and their linear complexity."""
 
-from .cyclotomy import VectorAssignment, generalized_classes, index_sets
+from .cyclotomy import VectorAssignment, generalized_classes
 from .errors import DHSeqError
 from .gf2poly import BinaryField, berlekamp_massey, build_field
 from .lincomp import lincomp_bm, lincomp_gcd, lincomp_spectral
@@ -51,7 +51,6 @@ __all__ = [
     "enumerate_valid_moduli",
     "generalized_classes",
     "generate",
-    "index_sets",
     "lincomp_bm",
     "lincomp_gcd",
     "lincomp_spectral",

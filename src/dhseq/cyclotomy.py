@@ -10,24 +10,12 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import compress, product
+from itertools import compress
 from operator import and_
 
 from . import numtheory
 from .errors import AssignmentFormatError, MissingDivisorVector, ZeroVector
 from .numtheory import Modulus
-
-
-def index_sets(a_d) -> tuple[frozenset, frozenset]:
-    """Split {0,1}^m by the parity of the dot product with a_d."""
-    a_d = tuple(a_d)
-    if not any(a_d):
-        raise ZeroVector(a_d)
-    i0, i1 = [], []
-    for tup in product((0, 1), repeat=len(a_d)):
-        parity = sum(t * a for t, a in zip(tup, a_d)) % 2
-        (i1 if parity else i0).append(tup)
-    return frozenset(i0), frozenset(i1)
 
 
 def class_pattern(d: int, tables) -> int:

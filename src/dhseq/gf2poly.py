@@ -233,6 +233,9 @@ class BinaryField:
         self._orbit_sums = None
 
     def mul(self, a: int, b: int) -> int:
+        """The product of two field elements; 0 and 1 need no reduction."""
+        if a <= 1 or b <= 1:
+            return a * b
         return mod(mul(a, b), self.modulus_poly)
 
     def alpha_powers(self) -> tuple[int, ...]:

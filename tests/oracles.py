@@ -11,7 +11,8 @@ counts, the rank route's d-bit matrix build from before the per-prime-power
 parity tables and a count of those tables, the GF(2^m) the spectral route
 used before it was re-based on the minimal polynomial of alpha, the
 Miller-Rabin primality test the package used before it tested primes by
-factorization, and small helpers only tests need; tests compare the fast
+factorization, the odd-index-tuple enumeration lemma3 expanded before its
+parity pass, and small helpers only tests need; tests compare the fast
 routes against them.
 """
 
@@ -21,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from dhseq import cyclotomy, gf2poly, lincomp, numtheory, sequence
+from dhseq import gf2poly, lincomp, numtheory, sequence
 from dhseq.cyclotomy import VectorAssignment
 from dhseq.errors import DHSeqError, ZeroVector
 from dhseq.theorems import CheckVerdict, crt_split
@@ -421,6 +422,30 @@ def lemma2_sweep(modulus, assignment, d, field) -> CheckVerdict:
     return CheckVerdict(name, True, True)
 
 
+def index_sets(a_d) -> tuple[frozenset, frozenset]:
+    """Split {0,1}^m by the parity of the dot product with a_d."""
+    a_d = tuple(a_d)
+    if not any(a_d):
+        raise ZeroVector(a_d)
+    i0, i1 = [], []
+    for tup in itertools.product((0, 1), repeat=len(a_d)):
+        parity = sum(t * a for t, a in zip(tup, a_d)) % 2
+        (i1 if parity else i0).append(tup)
+    return frozenset(i0), frozenset(i1)
+
+
+def odd_tuple_sum_by_enumeration(field, a_d, pairs) -> int:
+    """The sum, over the odd index tuples of a_d, of the products of
+    pairs[j][i_j]: every tuple expanded on its own, every product reduced."""
+    acc = 0
+    for tup in sorted(index_sets(a_d)[1]):
+        term = 1
+        for bit, pair in zip(tup, pairs):
+            term = gf2poly.mod(gf2poly.mul(term, pair[bit]), field.modulus_poly)
+        acc ^= term
+    return acc
+
+
 def lemma3_sweep(modulus, assignment, d, field) -> CheckVerdict:
     name = f"lemma3(d={d})"
     n = modulus.n
@@ -429,7 +454,6 @@ def lemma3_sweep(modulus, assignment, d, field) -> CheckVerdict:
     pair = classes_by_root(facs, a_d)
     k = n // d
     lhs_exps = [k * x % n for x in pair.d1]
-    _, i1 = cyclotomy.index_sets(a_d)
     factor_classes = [
         prime_power_classes(p, l, numtheory.primitive_root(p, l)) for p, l in facs
     ]
@@ -449,13 +473,7 @@ def lemma3_sweep(modulus, assignment, d, field) -> CheckVerdict:
             for c in classes.d1:
                 s1 ^= table[base * c % n]
             sums.append((s0, s1))
-        rhs = 0
-        for tup in sorted(i1):
-            term = 1
-            for bit, pairsum in zip(tup, sums):
-                term = field.mul(term, pairsum[bit])
-            rhs ^= term
-        if lhs != rhs:
+        if lhs != odd_tuple_sum_by_enumeration(field, a_d, sums):
             return CheckVerdict(name, True, False, f"mismatch at v={v}")
     return CheckVerdict(name, True, True)
 

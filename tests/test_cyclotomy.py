@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from dhseq import numtheory
-from dhseq.cyclotomy import VectorAssignment, generalized_classes, index_sets
+from dhseq.cyclotomy import VectorAssignment, generalized_classes
 from dhseq.errors import AssignmentFormatError, MissingDivisorVector, ZeroVector
 from dhseq.numtheory import crt_combine, validate_modulus
 from dhseq.sequence import generate
@@ -15,6 +15,7 @@ from oracles import (
     class_index,
     classes_by_root,
     global_partition,
+    index_sets,
     prime_power_classes,
     residue_class,
 )

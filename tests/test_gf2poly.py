@@ -195,6 +195,14 @@ def test_build_field_n21():
     assert powmod(f.alpha, 3, f.modulus_poly) != 1
 
 
+def test_field_mul_is_the_reduced_product_for_every_pair():
+    # 0 and 1 take the unreduced shortcut, every other pair the reduction
+    f = build_field(21)
+    for a in range(1 << f.m):
+        for b in range(1 << f.m):
+            assert f.mul(a, b) == mod(mul(a, b), f.modulus_poly), (a, b)
+
+
 def test_build_field_n33():
     assert build_field(33).m == 10
 

@@ -1,7 +1,9 @@
 """The orbit-reduced spectral engine against the per-v sweeps it replaced."""
 
 import dataclasses
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,12 +164,52 @@ def test_engine_matches_sweep_random_odd_sum(case):
     assert check_theorem1(m, a, field) == theorem1_sweep(m, a, field)
 
 
-def test_checks_match_sweeps_every_field_modulus():
-    for m in FIELD_MODULI:
+def default_and_all_ones_top(m):
+    return [VectorAssignment.default(m), VectorAssignment.all_ones_top(m)]
+
+
+def every_top_vector(m):
+    """Every nonzero vector on d = n, the default elsewhere."""
+    return [
+        VectorAssignment.from_overrides(m, {m.n: bits})
+        for bits in itertools.product((0, 1), repeat=m.t)
+        if any(bits)
+    ]
+
+
+def seeded_random_vectors(m):
+    """Eight assignments of random nonzero vectors on every divisor, odd
+    and even coordinate sums alike."""
+    rng = random.Random(m.n)
+    out = []
+    for _ in range(8):
+        vectors = {}
+        for d in m.divisors_gt1():
+            width = len(m.divisor_factorization(d))
+            vectors[d] = rng.choice(
+                [bits for bits in itertools.product((0, 1), repeat=width) if any(bits)]
+            )
+        out.append(VectorAssignment(m, vectors))
+    return out
+
+
+T3_FIELD_MODULI = tuple(m for m in FIELD_MODULI if m.t == 3)
+
+
+@pytest.mark.parametrize(
+    "moduli, assignments",
+    [
+        (FIELD_MODULI, default_and_all_ones_top),
+        (T3_FIELD_MODULI, every_top_vector),
+        (T3_FIELD_MODULI, seeded_random_vectors),
+    ],
+    ids=["default-and-all-ones-top", "t3-every-top-vector", "t3-seeded-random"],
+)
+def test_checks_match_sweeps_every_field_modulus(moduli, assignments):
+    for m in moduli:
         field = build_field(m.n)
         assert check_lemma4(m, field) == lemma4_sweep(m, field), m.n
-        for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
-            a = make(m)
+        for a in assignments(m):
             assert check_theorem1(m, a, field) == theorem1_sweep(m, a, field), m.n
             for d in m.divisors_gt1():
                 assert check_lemma2(m, a, d, field) == lemma2_sweep(m, a, d, field)

@@ -1,4 +1,6 @@
 import math
+import random
+from itertools import product
 
 import pytest
 
@@ -22,7 +24,7 @@ from dhseq.theorems import (
 )
 
 from conftest import valid_moduli
-from oracles import alpha_power, eval_poly, from_bits, legendre
+from oracles import alpha_power, eval_poly, from_bits, legendre, odd_tuple_sum_by_enumeration
 
 M21 = validate_modulus([(3, 1), (7, 1)])
 M9 = validate_modulus([(3, 2)])
@@ -204,6 +206,57 @@ def test_lemma3_n105():
         a = make(m)
         for d in (35, 105, 15):
             assert check_lemma3(m, a, d, field).holds, (d, a.spec_string())
+
+
+def parity_pass_cases():
+    """Every nonzero a_d of length 1..4, each with seeded random pairs of
+    elements of GF(2^12), 0 and 1 drawn often."""
+    field = build_field(105)
+    rng = random.Random(16)
+
+    def element():
+        return rng.randrange(1 << field.m) if rng.random() < 0.6 else rng.randrange(2)
+
+    for t in range(1, 5):
+        for a_d in product((0, 1), repeat=t):
+            if any(a_d):
+                yield field, a_d, [
+                    [(element(), element()) for _ in range(t)] for _ in range(25)
+                ]
+
+
+def test_parity_pass_matches_odd_tuple_enumeration():
+    for field, a_d, cases in parity_pass_cases():
+        for pairs in cases:
+            got = theorems._odd_tuple_sum(field, a_d, pairs)
+            assert got == odd_tuple_sum_by_enumeration(field, a_d, pairs), (a_d, pairs)
+
+
+def pass_without_swap(field, a_d, pairs):
+    """A mutant of the parity pass: a selected prime keeps the class sums
+    in place for the odd part instead of swapping them."""
+    mul = field.mul
+    even, odd = 1, 0
+    for a, (x0, x1) in zip(a_d, pairs):
+        if a:
+            even, odd = mul(even, x0) ^ mul(odd, x1), mul(even, x0) ^ mul(odd, x1)
+        else:
+            both = x0 ^ x1
+            even, odd = mul(even, both), mul(odd, both)
+    return odd
+
+
+def test_parity_pass_without_the_swap_disagrees(monkeypatch):
+    for field, a_d, cases in parity_pass_cases():
+        assert any(
+            pass_without_swap(field, a_d, pairs) != odd_tuple_sum_by_enumeration(field, a_d, pairs)
+            for pairs in cases
+        ), a_d
+    # and the lemma check built on it fails
+    monkeypatch.setattr(theorems, "_odd_tuple_sum", pass_without_swap)
+    m = validate_modulus([(3, 1), (5, 1), (7, 1)])
+    got = check_lemma3(m, VectorAssignment.all_ones_top(m), 105, build_field(105))
+    assert got.holds is False and got.witness.startswith("mismatch at v=")
 
 
 def test_lemma3_split_forms_coincide():
