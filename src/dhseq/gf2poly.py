@@ -58,8 +58,13 @@ def gcd(a: int, b: int) -> int:
     """Greatest common divisor (monic comes for free over GF(2))."""
     if a == 0 and b == 0:
         raise BothZero()
+    # the reduction of mod, inline, with each degree carried across the swap
+    da, db = a.bit_length(), b.bit_length()
     while b:
-        a, b = b, mod(a, b)
+        while da >= db:
+            a ^= b << (da - db)
+            da = a.bit_length()
+        a, b, da, db = b, a, db, da
     return a
 
 
@@ -132,20 +137,6 @@ def cyclotomic_mod(a: int, d: int, primes) -> int:
     return a ^ _mobius_product(q, terms, d)
 
 
-def powmod(a: int, k: int, m: int) -> int:
-    """a**k reduced modulo m."""
-    if k < 0:
-        raise ValueError("negative exponent")
-    a = mod(a, m)
-    acc = 1
-    while k:
-        if k & 1:
-            acc = mod(mul(acc, a), m)
-        a = mod(square(a), m)
-        k >>= 1
-    return acc
-
-
 def is_irreducible(f: int) -> bool:
     """Rabin's criterion: x^(2^m) = x mod f and, for every prime q | m,
     gcd(x^(2^(m/q)) - x, f) = 1."""
@@ -178,32 +169,42 @@ def smallest_irreducible(m: int) -> int:
     raise ArithmeticError(f"no irreducible polynomial of degree {m}")
 
 
+# _LOW_BIT[v] = (v & -v).bit_length(): one past the index of the lowest set
+# bit of the byte v, and 0 (a miss) for v = 0
+_LOW_BIT = bytes((v & -v).bit_length() for v in range(256))
+
+
 def berlekamp_massey(packed: int, length: int) -> int:
     """Length of the shortest LFSR generating the first ``length`` bits of
     ``packed`` (bit i is s_i).
 
     Incremental-discrepancy form: the running products of the sequence with
     both connection polynomials are updated by whole-integer shifts and xors,
-    which big-int arithmetic makes far cheaper than per-bit convolution. For
-    a periodic sequence, call this on two concatenated periods.
+    which big-int arithmetic makes far cheaper than per-bit convolution.
+    The state changes only at a nonzero discrepancy (Massey 1969), and the
+    discrepancies still ahead are the bits of sc, so each iteration jumps
+    straight to the lowest set bit of sc: a 256-entry table on its low byte,
+    or (sc & -sc).bit_length() when that byte is zero. For a periodic
+    sequence, call this on two concatenated periods.
     """
     if length < 1:
         raise ValueError("empty bit string")
     if packed < 0 or packed >> length:
         raise ValueError(f"packed bits do not fit in length {length}")
     sb = sc = packed
-    L = 0
-    gap = 0
-    for i in range(length):
-        disc = sc & (1 << gap)
-        gap += 1
-        if disc:
-            sc >>= gap
-            gap = 0
-            if 2 * L <= i:
-                sb, sc = sc, sb
-                L = i + 1 - L
-            sc ^= sb
+    # bit 0 of sc stands for position i; the next nonzero discrepancy, at
+    # i + step - 1, moves it to i + step
+    L = i = 0
+    while sc:
+        step = _LOW_BIT[sc & 255] or (sc & -sc).bit_length()
+        i += step
+        if i > length:
+            break
+        sc >>= step
+        if 2 * L < i:
+            sb, sc = sc, sb
+            L = i - L
+        sc ^= sb
     return L
 
 
@@ -291,11 +292,77 @@ def resolve_degree_cap(degree_cap: int | None) -> int:
     return degree_cap
 
 
-def minimal_polynomial(a: int, f: int, m: int) -> int:
-    """The minimal polynomial over GF(2) of a in GF(2)[x]/(f), f irreducible
-    of degree m: the first linear dependency among 1, a, a^2, ..., found by
-    eliminating each power against the earlier ones while tracking which
-    powers were combined."""
+def _xor_span(entries) -> list[int]:
+    """The xor-combinations of the entries: index v holds the xor of the
+    entries at the set bits of v."""
+    table = [0]
+    for entry in entries:
+        table += [t ^ entry for t in table]
+    return table
+
+
+def _reducer(f: int):
+    """x -> x mod f for the fixed f of degree m, eight bits per step.
+
+    Entry v of the table is (v x^m) xor (v x^m mod f): xored in at shift s,
+    it clears the byte v at bits m + s.. and adds its remainder below. The
+    table is linear in v, so it is the xor-span of its 8 single-bit entries
+    x^(m+j) + (x^(m+j) mod f).
+    """
+    m = f.bit_length() - 1
+    entries = []
+    r = f ^ (1 << m)  # x^m mod f
+    for j in range(8):
+        entries.append((1 << (m + j)) ^ r)
+        r <<= 1
+        if r >> m:
+            r ^= f
+    table = _xor_span(entries)
+
+    def reduce(x: int) -> int:
+        s = x.bit_length() - m
+        while s > 0:
+            s = s - 8 if s > 8 else 0
+            x ^= table[x >> (m + s)] << s
+        return x
+
+    return reduce
+
+
+def _times(a: int):
+    """x -> the carry-less product x * a, four bits of x per step through
+    the 16 products of a with a nibble."""
+    window = _xor_span([a, a << 1, a << 2, a << 3])
+
+    def times(x: int) -> int:
+        acc = shift = 0
+        while x:
+            acc ^= window[x & 15] << shift
+            x >>= 4
+            shift += 4
+        return acc
+
+    return times
+
+
+def _power(a: int, k: int, reduce) -> int:
+    """a**k modulo the f of reduce, for a reduced a and k >= 1, by
+    square-and-multiply from the top bit of k."""
+    times = _times(a)
+    acc = a
+    for bit in format(k, "b")[1:]:
+        acc = reduce(square(acc))
+        if bit == "1":
+            acc = reduce(times(acc))
+    return acc
+
+
+def _minimal_polynomial(a: int, reduce, m: int) -> int:
+    """The minimal polynomial over GF(2) of a, in the degree-m field that
+    reduce works in: the first linear dependency among 1, a, a^2, ...,
+    found by eliminating each power against the earlier ones while tracking
+    which powers were combined."""
+    times = _times(a)
     basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, combination)
     power = 1
     for k in range(m + 1):
@@ -310,8 +377,8 @@ def minimal_polynomial(a: int, f: int, m: int) -> int:
             combo ^= bc
         else:
             return combo
-        power = mod(mul(power, a), f)
-    raise ArithmeticError(f"{f:#b} is not of degree {m}")
+        power = reduce(times(power))
+    raise ArithmeticError(f"no dependency among the first {m + 1} powers")
 
 
 def build_field(n: int, degree_cap: int | None = None) -> BinaryField:
@@ -321,20 +388,22 @@ def build_field(n: int, degree_cap: int | None = None) -> BinaryField:
     alpha is found in the lexicographically smallest irreducible f of degree
     m, as e^((2^m - 1)/n) for the first base element e (by coefficient value,
     starting at x) whose power has order exactly n; the modulus is then its
-    minimal polynomial, which has degree m. A cap outside 1..MAX_DEGREE_CAP
+    minimal polynomial, which has degree m. Products are reduced modulo f
+    through a byte table and multiplied by each fixed base through a nibble
+    window, both built for this call. A cap outside 1..MAX_DEGREE_CAP
     raises ValueError.
     """
     degree_cap = resolve_degree_cap(degree_cap)
     m = numtheory.order_of_two(n)
     if m > degree_cap:
         raise DegreeCapExceeded(n, m, degree_cap)
-    f = smallest_irreducible(m)
+    reduce = _reducer(smallest_irreducible(m))
     step = ((1 << m) - 1) // n
     nprimes = [p for p, _ in numtheory.factorize(n)]
     for e in range(2, 1 << m):
-        a = powmod(e, step, f)
+        a = _power(e, step, reduce)
         if a == 1:
             continue
-        if all(powmod(a, n // q, f) != 1 for q in nprimes):
-            return BinaryField(n, m, minimal_polynomial(a, f, m))
+        if all(_power(a, n // q, reduce) != 1 for q in nprimes):
+            return BinaryField(n, m, _minimal_polynomial(a, reduce, m))
     raise ArithmeticError(f"no element of order {n} found in GF(2^{m})")

@@ -12,8 +12,11 @@ parity tables and a count of those tables, the GF(2^m) the spectral route
 used before it was re-based on the minimal polynomial of alpha, the
 Miller-Rabin primality test the package used before it tested primes by
 factorization, the odd-index-tuple enumeration lemma3 expanded before its
-parity pass, and small helpers only tests need; tests compare the fast
-routes against them.
+parity pass, the per-bit Berlekamp-Massey loop from before it jumped
+between nonzero discrepancies, a Euclid on long division, the generic
+powmod and minimal-polynomial route build_field took before its reduction
+table and multiply window, and small helpers only tests need; tests
+compare the fast routes against them.
 """
 
 import functools
@@ -235,6 +238,72 @@ def divmod_(a: int, b: int) -> tuple[int, int]:
     return q, a
 
 
+def gcd_by_divmod(a: int, b: int) -> int:
+    """Euclid with every remainder taken by divmod_."""
+    while b:
+        a, b = b, divmod_(a, b)[1]
+    return a
+
+
+def powmod(a: int, k: int, m: int) -> int:
+    """a**k reduced modulo m, by square-and-multiply with a generic multiply
+    and reduction at every step."""
+    if k < 0:
+        raise ValueError("negative exponent")
+    a = gf2poly.mod(a, m)
+    acc = 1
+    while k:
+        if k & 1:
+            acc = gf2poly.mod(gf2poly.mul(acc, a), m)
+        a = gf2poly.mod(gf2poly.square(a), m)
+        k >>= 1
+    return acc
+
+
+def minimal_polynomial(a: int, f: int, m: int) -> int:
+    """The minimal polynomial over GF(2) of a in GF(2)[x]/(f), f irreducible
+    of degree m: the first linear dependency among 1, a, a^2, ..., found by
+    eliminating each power against the earlier ones while tracking which
+    powers were combined."""
+    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, combination)
+    power = 1
+    for k in range(m + 1):
+        v, combo = power, 1 << k
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = (v, combo)
+                break
+            bv, bc = basis[top]
+            v ^= bv
+            combo ^= bc
+        else:
+            return combo
+        power = gf2poly.mod(gf2poly.mul(power, a), f)
+    raise ArithmeticError(f"{f:#b} is not of degree {m}")
+
+
+def order_n_element(n: int) -> tuple[int, int]:
+    """(f, alpha): the smallest irreducible f of degree m = ord_n(2) and
+    alpha = e^((2^m - 1)/n) for the first e >= x whose power has order
+    exactly n, every power by powmod."""
+    m = numtheory.order_of_two(n)
+    f = gf2poly.smallest_irreducible(m)
+    step = ((1 << m) - 1) // n
+    for e in range(2, 1 << m):
+        a = powmod(e, step, f)
+        if a != 1 and all(powmod(a, n // q, f) != 1 for q, _ in numtheory.factorize(n)):
+            return f, a
+    raise ArithmeticError(f"no element of order {n} found in GF(2^{m})")
+
+
+def field_modulus_generic(n: int) -> int:
+    """The modulus build_field re-bases on, by the generic multiply-and-
+    reduce path: the minimal polynomial of order_n_element's alpha."""
+    f, alpha = order_n_element(n)
+    return minimal_polynomial(alpha, f, gf2poly.degree(f))
+
+
 class SmallestIrreducibleField(gf2poly.BinaryField):
     """GF(2^m) on the smallest irreducible of degree m, with alpha an element
     of that basis and each power one generic multiply and reduction."""
@@ -256,14 +325,31 @@ def smallest_irreducible_field(n: int) -> SmallestIrreducibleField:
     """The field build_field made before the re-basing: alpha is
     e^((2^m - 1)/n) for the first e >= x whose power has order exactly n,
     in the smallest irreducible of degree m = ord_n(2)."""
-    m = numtheory.order_of_two(n)
-    f = gf2poly.smallest_irreducible(m)
-    step = ((1 << m) - 1) // n
-    for e in range(2, 1 << m):
-        a = gf2poly.powmod(e, step, f)
-        if a != 1 and all(gf2poly.powmod(a, n // q, f) != 1 for q, _ in numtheory.factorize(n)):
-            return SmallestIrreducibleField(n, m, f, a)
-    raise ArithmeticError(f"no element of order {n} found in GF(2^{m})")
+    f, alpha = order_n_element(n)
+    return SmallestIrreducibleField(n, gf2poly.degree(f), f, alpha)
+
+
+def berlekamp_massey_per_bit(packed: int, length: int) -> int:
+    """gf2poly.berlekamp_massey stepping through every position: one test
+    of the discrepancy bit per position, nonzero or not."""
+    if length < 1:
+        raise ValueError("empty bit string")
+    if packed < 0 or packed >> length:
+        raise ValueError(f"packed bits do not fit in length {length}")
+    sb = sc = packed
+    L = 0
+    gap = 0
+    for i in range(length):
+        disc = sc & (1 << gap)
+        gap += 1
+        if disc:
+            sc >>= gap
+            gap = 0
+            if 2 * L <= i:
+                sb, sc = sc, sb
+                L = i + 1 - L
+            sc ^= sb
+    return L
 
 
 def alpha_power(field, k: int) -> int:

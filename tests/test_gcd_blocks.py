@@ -9,7 +9,13 @@ from dhseq import gf2poly, lincomp
 from dhseq.cli import main
 from dhseq.cyclotomy import VectorAssignment
 from dhseq.errors import MethodDisagreement
-from dhseq.lincomp import block_zero_counts, lincomp_bm, lincomp_gcd, orbit_kernel
+from dhseq.lincomp import (
+    block_zero_counts,
+    divisor_blocks,
+    lincomp_bm,
+    lincomp_gcd,
+    orbit_kernel,
+)
 from dhseq.numtheory import (
     divisors,
     factorize,
@@ -26,6 +32,7 @@ from oracles import (
     block_counts_euclid,
     cyclotomic_by_division,
     divmod_,
+    gcd_by_divmod,
     label_sum_parities_by_count,
     lincomp_gcd_euclid,
     orbit_kernel_rotations,
@@ -351,6 +358,28 @@ def test_rank_route_leaves_no_cyclic_garbage(monkeypatch):
         gc.garbage.clear()
     assert kernels[-1][0][1] == m.n and kernels[-1][1] is not None
     assert cyclic == []
+
+
+def test_block_euclid_matches_divmod_euclid_on_survey_blocks(monkeypatch):
+    calls = spy(monkeypatch, gf2poly, "gcd")
+    for m in valid_moduli(2000):
+        for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
+            lincomp_gcd(generate(m, make(m)))
+    assert len(calls) > 1000
+    for (a, b), g in calls:
+        assert g == gcd_by_divmod(a, b), (a, b)
+
+
+def test_divisor_blocks_take_the_order_of_two_by_lcm():
+    for n in [m.n for m in valid_moduli(2000)] + [3 * 5 * 7 * 11 * 23 * 47]:
+        factors = factorize(n)
+        blocks = divisor_blocks(factors)
+        assert sorted(blocks) == divisors(factors), n
+        assert blocks[1] == ((), 1)
+        for d, (dfactors, order) in blocks.items():
+            if d > 1:
+                assert list(dfactors) == factorize(d), (n, d)
+                assert order == multiplicative_order(2, d), (n, d)
 
 
 def test_survey_and_verify_moduli_keep_their_routes(monkeypatch):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,15 +12,25 @@ from dhseq.gf2poly import (
     degree,
     gcd,
     is_irreducible,
-    minimal_polynomial,
     mod,
     mul,
-    powmod,
     smallest_irreducible,
     square,
 )
 
-from oracles import alpha_power, divmod_, eval_poly, from_bits, smallest_irreducible_field
+from conftest import valid_moduli
+from oracles import (
+    alpha_power,
+    berlekamp_massey_per_bit,
+    divmod_,
+    eval_poly,
+    field_modulus_generic,
+    from_bits,
+    gcd_by_divmod,
+    minimal_polynomial,
+    powmod,
+    smallest_irreducible_field,
+)
 
 
 # Oracle arithmetic on coefficient lists, independent of the bit tricks.
@@ -175,6 +187,88 @@ def test_berlekamp_massey_matches_exhaustive_search(bits):
     assert berlekamp_massey(from_bits(bits), len(bits)) == brute_lfsr_length(bits)
 
 
+def test_berlekamp_massey_matches_per_bit_loop_on_survey_periods():
+    for m in valid_moduli(2000):
+        for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
+            s, n = sequence.generate(m, make(m)).packed, m.n
+            two = s | s << n
+            assert berlekamp_massey(two, 2 * n) == berlekamp_massey_per_bit(two, 2 * n), n
+
+
+def lfsr_stretch(rng, degree, length):
+    """length output bits of a random LFSR with degree taps and a nonzero
+    start, bit i of the int being s_i."""
+    taps = rng.getrandbits(degree - 1) << 1 | 1 << degree | 1  # c_0 = c_degree = 1
+    bits = [rng.getrandbits(1) for _ in range(degree)]
+    bits[rng.randrange(degree)] = 1
+    while len(bits) < length:
+        acc = 0
+        for j in range(1, degree + 1):
+            acc ^= (taps >> j) & bits[-j]
+        bits.append(acc)
+    return from_bits(bits[:length])
+
+
+@pytest.mark.parametrize("run", [8, 32, 300])
+def test_berlekamp_massey_jumps_over_long_zero_runs(run):
+    # A run of >= 8 zero discrepancies leaves the low byte of the running
+    # product zero, so the jump takes the fallback past the byte table.
+    rng = random.Random(run)
+    for _ in range(60):
+        # zeros in the input itself: leading, and inside a random string
+        head = rng.randrange(run, 2 * run)
+        tail = rng.randrange(1, 80)
+        packed = rng.getrandbits(tail) << head
+        cases = [(packed, head + tail)]
+        middle = rng.getrandbits(20) | (rng.getrandbits(20) << (20 + head))
+        cases.append((middle, 40 + head))
+        # an LFSR of length <= degree makes no discrepancy after its first
+        # 2 * degree bits (Massey 1969), so the run lasts until the tail
+        degree = rng.randrange(1, 13)
+        stretch = 2 * degree + run + rng.randrange(run)
+        tail = rng.randrange(1, 80)
+        packed = lfsr_stretch(rng, degree, stretch) | rng.getrandbits(tail) << stretch
+        cases.append((packed, stretch + tail))
+        for packed, length in cases:
+            expected = berlekamp_massey_per_bit(packed, length)
+            assert berlekamp_massey(packed, length) == expected, (packed, length)
+
+
+def test_berlekamp_massey_edges():
+    for length in (1, 2, 7, 8, 9, 64, 300):
+        assert berlekamp_massey(0, length) == 0
+        # the only nonzero discrepancy sits at bit length - 1
+        assert berlekamp_massey(1 << (length - 1), length) == length
+    assert berlekamp_massey(1, 1) == berlekamp_massey_per_bit(1, 1) == 1
+    rng = random.Random(5)
+    for _ in range(300):
+        length = rng.randrange(2, 200)
+        prefix = rng.getrandbits(length - 1)
+        low = berlekamp_massey(prefix, length - 1)
+        # of the two completions one has a nonzero discrepancy at bit
+        # length - 1, which moves L to length - low when 2 * low < length
+        found = set()
+        for last in (0, 1):
+            packed = prefix | last << (length - 1)
+            L = berlekamp_massey(packed, length)
+            assert L == berlekamp_massey_per_bit(packed, length), (packed, length)
+            found.add(L)
+        assert found == ({low, length - low} if 2 * low < length else {low}), (prefix, length)
+
+
+def test_gcd_matches_divmod_euclid_on_random_pairs():
+    rng = random.Random(11)
+    for _ in range(2000):
+        a = rng.getrandbits(rng.randrange(0, 400))
+        b = rng.getrandbits(rng.randrange(0, 400))
+        if a == 0 and b == 0:
+            continue
+        if rng.random() < 0.3:  # a shared factor, so that the gcd is not 1
+            c = rng.getrandbits(rng.randrange(1, 60)) | 1
+            a, b = mul(a, c), mul(b, c)
+        assert gcd(a, b) == gcd_by_divmod(a, b), (a, b)
+
+
 def test_build_field_n3():
     f = build_field(3)
     assert f.m == 2
@@ -290,3 +384,17 @@ def test_rebased_field_matches_smallest_irreducible_field():
             assert powers[i] == powmod(2, i, g), (n, i)
         seq = sequence.generate(modulus, VectorAssignment.default(modulus))
         assert lincomp.lincomp_spectral(seq, field) == lincomp.lincomp_spectral(seq, old), n
+
+
+def test_build_field_modulus_matches_the_generic_path():
+    for n in range(3, 2000, 2):
+        if numtheory.order_of_two(n) <= gf2poly.DEFAULT_DEGREE_CAP:
+            assert build_field(n).modulus_poly == field_modulus_generic(n), n
+
+
+@pytest.mark.parametrize("n", [67, 121, 131, 137, 203, 211, 227, 503])
+def test_build_field_modulus_matches_the_generic_path_above_the_default_cap(n):
+    m = numtheory.order_of_two(n)
+    assert gf2poly.DEFAULT_DEGREE_CAP < m <= gf2poly.MAX_DEGREE_CAP
+    field = build_field(n, gf2poly.MAX_DEGREE_CAP)
+    assert field.m == m and field.modulus_poly == field_modulus_generic(n)
