@@ -42,23 +42,12 @@ def square(a: int) -> int:
     return int(format(a, "b"), 4)
 
 
-def mod(a: int, b: int) -> int:
-    """Remainder of a modulo b, for nonzero b."""
-    if b == 0:
-        raise ZeroDivisionError("reduction modulo the zero polynomial")
-    db = b.bit_length() - 1
-    da = a.bit_length() - 1
-    while da >= db:
-        a ^= b << (da - db)
-        da = a.bit_length() - 1
-    return a
-
-
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor (monic comes for free over GF(2))."""
     if a == 0 and b == 0:
         raise BothZero()
-    # the reduction of mod, inline, with each degree carried across the swap
+    # long division, one shift-xor per leading bit, with each degree carried
+    # across the swap
     da, db = a.bit_length(), b.bit_length()
     while b:
         while da >= db:
@@ -147,9 +136,10 @@ def is_irreducible(f: int) -> bool:
         return True
     x = 2
     checkpoints = {m // q for q, _ in numtheory.factorize(m)}
+    reduce = _reducer(f)
     h = x
     for k in range(1, m + 1):
-        h = mod(square(h), f)
+        h = reduce(square(h))
         if k in checkpoints and gcd(h ^ x, f) != 1:
             return False
     return h == x
@@ -217,10 +207,10 @@ class BinaryField:
     """GF(2^m) as GF(2)[x]/(g), g the minimal polynomial of a fixed n-th root
     of unity alpha, so alpha = x; elements are ints < 2^m.
 
-    Immutable after construction. Three tables are cached on first use and
-    shared by every evaluation: the n powers of alpha, the H-orbits of Z_n
-    and the k orbit sums (the Gauss periods) that reduced spectra are built
-    from.
+    Immutable after construction. Four tables are cached on first use and
+    shared by every evaluation: the n powers of alpha, the H-orbits of Z_n,
+    the k orbit sums (the Gauss periods) that reduced spectra are built
+    from, and the byte table that reduces products modulo g.
     """
 
     alpha = 2  # x
@@ -232,12 +222,15 @@ class BinaryField:
         self._alpha_pow = None
         self._orbits = None
         self._orbit_sums = None
+        self._reduce = None
 
     def mul(self, a: int, b: int) -> int:
         """The product of two field elements; 0 and 1 need no reduction."""
         if a <= 1 or b <= 1:
             return a * b
-        return mod(mul(a, b), self.modulus_poly)
+        if self._reduce is None:
+            self._reduce = _reducer(self.modulus_poly)
+        return self._reduce(mul(a, b))
 
     def alpha_powers(self) -> tuple[int, ...]:
         """alpha^0 .. alpha^(n-1): since alpha = x, each power is the last

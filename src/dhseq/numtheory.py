@@ -151,8 +151,10 @@ def crt_combine(residues: Sequence[int], modulus: Modulus) -> int:
     return x % n
 
 
+@functools.lru_cache(maxsize=16)
 def primitive_root(p: int, e: int = 1) -> int:
-    """Smallest positive primitive root modulo p**e, for an odd prime p."""
+    """Smallest positive primitive root modulo p**e, for an odd prime p
+    (cached: the lemma checks ask for the same roots on every divisor)."""
     if p <= 2 or not is_prime(p):
         raise NotPrime(p)
     if e < 1:

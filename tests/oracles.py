@@ -13,7 +13,8 @@ used before it was re-based on the minimal polynomial of alpha, the
 Miller-Rabin primality test the package used before it tested primes by
 factorization, the odd-index-tuple enumeration lemma3 expanded before its
 parity pass, the per-bit Berlekamp-Massey loop from before it jumped
-between nonzero discrepancies, a Euclid on long division, the generic
+between nonzero discrepancies, a Euclid and a Rabin irreducibility test
+on long division (every oracle reduces by divmod_), the generic
 powmod and minimal-polynomial route build_field took before its reduction
 table and multiply window, and small helpers only tests need; tests
 compare the fast routes against them.
@@ -245,17 +246,34 @@ def gcd_by_divmod(a: int, b: int) -> int:
     return a
 
 
+def is_irreducible_by_division(f: int) -> bool:
+    """gf2poly.is_irreducible by Rabin's criterion with every remainder
+    taken by divmod_, every gcd by gcd_by_divmod and the primes of the
+    degree by trial division."""
+    m = f.bit_length() - 1
+    if m < 1:
+        return False
+    checkpoints = {m // q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))}
+    x = divmod_(2, f)[1]
+    h = x
+    for k in range(1, m + 1):
+        h = divmod_(gf2poly.mul(h, h), f)[1]
+        if k in checkpoints and gcd_by_divmod(f, h ^ x) != 1:
+            return False
+    return h == x
+
+
 def powmod(a: int, k: int, m: int) -> int:
     """a**k reduced modulo m, by square-and-multiply with a generic multiply
     and reduction at every step."""
     if k < 0:
         raise ValueError("negative exponent")
-    a = gf2poly.mod(a, m)
+    a = divmod_(a, m)[1]
     acc = 1
     while k:
         if k & 1:
-            acc = gf2poly.mod(gf2poly.mul(acc, a), m)
-        a = gf2poly.mod(gf2poly.square(a), m)
+            acc = divmod_(gf2poly.mul(acc, a), m)[1]
+        a = divmod_(gf2poly.square(a), m)[1]
         k >>= 1
     return acc
 
@@ -279,7 +297,7 @@ def minimal_polynomial(a: int, f: int, m: int) -> int:
             combo ^= bc
         else:
             return combo
-        power = gf2poly.mod(gf2poly.mul(power, a), f)
+        power = divmod_(gf2poly.mul(power, a), f)[1]
     raise ArithmeticError(f"{f:#b} is not of degree {m}")
 
 
@@ -306,7 +324,8 @@ def field_modulus_generic(n: int) -> int:
 
 class SmallestIrreducibleField(gf2poly.BinaryField):
     """GF(2^m) on the smallest irreducible of degree m, with alpha an element
-    of that basis and each power one generic multiply and reduction."""
+    of that basis and each power one carry-less multiply and one long
+    division."""
 
     def __init__(self, n: int, m: int, modulus_poly: int, alpha: int):
         super().__init__(n, m, modulus_poly)
@@ -316,7 +335,7 @@ class SmallestIrreducibleField(gf2poly.BinaryField):
         if self._alpha_pow is None:
             out = [1]
             for _ in range(self.n - 1):
-                out.append(self.mul(out[-1], self.alpha))
+                out.append(divmod_(gf2poly.mul(out[-1], self.alpha), self.modulus_poly)[1])
             self._alpha_pow = tuple(out)
         return self._alpha_pow
 
@@ -363,7 +382,7 @@ def eval_poly(f: int, x: int, field) -> int:
         return 0
     acc = 0
     for i in range(d, -1, -1):
-        acc = field.mul(acc, x) ^ ((f >> i) & 1)
+        acc = divmod_(gf2poly.mul(acc, x), field.modulus_poly)[1] ^ ((f >> i) & 1)
     return acc
 
 
@@ -527,7 +546,7 @@ def odd_tuple_sum_by_enumeration(field, a_d, pairs) -> int:
     for tup in sorted(index_sets(a_d)[1]):
         term = 1
         for bit, pair in zip(tup, pairs):
-            term = gf2poly.mod(gf2poly.mul(term, pair[bit]), field.modulus_poly)
+            term = divmod_(gf2poly.mul(term, pair[bit]), field.modulus_poly)[1]
         acc ^= term
     return acc
 
