@@ -78,32 +78,28 @@ class VectorAssignment:
     @classmethod
     def default(cls, modulus: Modulus) -> "VectorAssignment":
         """(0,...,0,1) everywhere: weight on each divisor's largest prime."""
-        vectors = {
-            d: _unit_last(len(modulus.divisor_factorization(d)))
-            for d in modulus.divisors_gt1()
-        }
-        return cls(modulus, vectors)
+        return cls.from_overrides(modulus, {})
 
     @classmethod
     def all_ones_top(cls, modulus: Modulus) -> "VectorAssignment":
         """All-ones vector on n itself, default elsewhere."""
-        base = cls.default(modulus)
-        vectors = dict(base.vectors)
-        vectors[modulus.n] = (1,) * modulus.t
-        return cls(modulus, vectors)
+        return cls.from_overrides(modulus, {modulus.n: (1,) * modulus.t})
 
     @classmethod
     def from_overrides(cls, modulus: Modulus, overrides: dict) -> "VectorAssignment":
         """Default assignment with explicit vectors for selected divisors."""
-        base = cls.default(modulus)
-        vectors = dict(base.vectors)
+        vectors = {
+            d: _unit_last(len(modulus.divisor_factorization(d)))
+            for d in modulus.divisors_gt1()
+        }
         for d, vec in overrides.items():
             vectors[int(d)] = tuple(vec)
         return cls(modulus, vectors)
 
     @classmethod
     def parse_spec(cls, modulus: Modulus, text: str) -> "VectorAssignment":
-        """Parse 'd:bits' lines; divisors not mentioned keep the default."""
+        """Parse 'd:bits' lines; divisors not mentioned keep the default, and
+        none may be listed twice."""
         overrides = {}
         for raw in text.splitlines():
             line = raw.strip()
@@ -116,6 +112,8 @@ class VectorAssignment:
                 d = int(head)
             except ValueError:
                 raise AssignmentFormatError(line, "divisor is not an integer") from None
+            if d in overrides:
+                raise AssignmentFormatError(line, f"divisor {d} is listed twice")
             if set(bits) - {"0", "1"} or not bits:
                 raise AssignmentFormatError(line, "bits must be a nonempty 0/1 string")
             vec = tuple(int(c) for c in bits)

@@ -46,22 +46,6 @@ def lincomp_gcd(seq) -> int:
 _RANK_FLOOR = 4608
 
 
-def divisor_blocks(factors) -> dict[int, tuple[tuple[tuple[int, int], ...], int]]:
-    """Every d | n, n given by its (prime, exponent) pairs, mapped to the
-    pairs of d and ord_d(2). The order is the lcm of ord_q(2) over the prime
-    powers q || d, so it takes one multiplicative_order call per prime
-    power of n, not one per divisor."""
-    blocks = {1: ((), 1)}
-    for p, e in factors:
-        orders = [1] + [numtheory.multiplicative_order(2, p**l) for l in range(1, e + 1)]
-        blocks = {
-            d * p**l: (f + ((p, l),), math.lcm(order, orders[l])) if l else (f, order)
-            for d, (f, order) in blocks.items()
-            for l in range(e + 1)
-        }
-    return blocks
-
-
 def block_zero_counts(packed: int, n: int) -> dict[int, int]:
     """deg gcd(S mod Phi_d, Phi_d) for every d | n, n odd.
 
@@ -87,7 +71,7 @@ def block_zero_counts(packed: int, n: int) -> dict[int, int]:
     """
     factors = numtheory.factorize(n)
     primes = [p for p, _ in factors]
-    blocks = divisor_blocks(factors)
+    blocks = numtheory.divisor_blocks(factors)
     divisors = sorted(blocks)
     folded = {n: packed}
     for d in reversed(divisors[:-1]):

@@ -175,36 +175,42 @@ def combined_root(modulus: Modulus) -> int:
     return crt_combine([primitive_root(p, e) for p, e in modulus.factors], modulus)
 
 
-def carmichael(n: int) -> int:
-    """Carmichael function (exponent of the unit group modulo n)."""
-    lam = 1
-    for p, e in factorize(n):
-        if p == 2:
-            block = 1 if e == 1 else 2 if e == 2 else 1 << (e - 2)
-        else:
-            block = p ** (e - 1) * (p - 1)
-        lam = math.lcm(lam, block)
-    return lam
+def divisor_blocks(factors) -> dict[int, tuple[tuple[tuple[int, int], ...], int]]:
+    """Every d | n, n odd and given by its (prime, exponent) pairs, mapped to
+    the pairs of d and ord_d(2).
 
-
-def multiplicative_order(a: int, m: int) -> int:
-    """Order of a in the unit group modulo m."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    a %= m
-    if math.gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit modulo {m}")
-    for d in divisors(factorize(carmichael(m))):
-        if pow(a, d, m) == 1:
-            return d
-    raise ArithmeticError("order search failed")
+    Per prime p, ord_p(2) is p - 1 with each prime r | p - 1 divided out
+    while 2^(t/r) = 1 (mod p) for what is left, t. Going from p^(l-1) to
+    p^l the order stays t when 2^t = 1 (mod p^l), else it is t * p: the units
+    that are 1 mod p^(l-1) form a group of order p. It stays from p to p^2
+    only at the Wieferich primes, 1093 and 3511 among them. ord_d(2) is the
+    lcm over the prime powers of d, so the only numbers factored are the
+    p - 1.
+    """
+    blocks = {1: ((), 1)}
+    for p, e in factors:
+        t = p - 1
+        for r, _ in factorize(p - 1):
+            while t % r == 0 and pow(2, t // r, p) == 1:
+                t //= r
+        orders = [1, t]
+        for l in range(2, e + 1):
+            if pow(2, t, p**l) != 1:
+                t *= p
+            orders.append(t)
+        blocks = {
+            d * p**l: (f + ((p, l),), math.lcm(order, orders[l])) if l else (f, order)
+            for d, (f, order) in blocks.items()
+            for l in range(e + 1)
+        }
+    return blocks
 
 
 def order_of_two(n: int) -> int:
     """Multiplicative order of 2 modulo odd n > 1 (the extension degree)."""
     if n <= 1 or n % 2 == 0:
         raise ValueError("n must be odd and > 1")
-    return multiplicative_order(2, n)
+    return divisor_blocks(factorize(n))[n][1]
 
 
 # a period asks for its few primes again on every orbit or class call; a

@@ -132,7 +132,7 @@ def check_corollary(
         return CheckVerdict(name, False, None, _EVEN_SUM)
     for p, e in modulus.factors:
         q = p**e
-        if numtheory.multiplicative_order(2, q) != q // p * (p - 1):
+        if numtheory.order_of_two(q) != q // p * (p - 1):
             return CheckVerdict(name, False, None, f"2 is not a primitive root modulo {q}")
     if L is None:
         L = _measure(modulus, assignment)[1]

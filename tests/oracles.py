@@ -16,8 +16,9 @@ parity pass, the per-bit Berlekamp-Massey loop from before it jumped
 between nonzero discrepancies, a Euclid and a Rabin irreducibility test
 on long division (every oracle reduces by divmod_), the generic
 powmod and minimal-polynomial route build_field took before its reduction
-table and multiply window, and small helpers only tests need; tests
-compare the fast routes against them.
+table and multiply window, the multiplicative order by repeated
+multiplication, and small helpers only tests need; tests compare the fast
+routes against them.
 """
 
 import functools
@@ -118,6 +119,17 @@ def is_prime_miller_rabin(n: int) -> bool:
     return True
 
 
+def multiplicative_order(a: int, m: int) -> int:
+    """Order of a unit a modulo m >= 2, by multiplying until 1 comes back."""
+    if m < 2 or math.gcd(a, m) != 1:
+        raise ValueError(f"{a} is not a unit modulo {m}")
+    k, x = 1, a % m
+    while x != 1:
+        x = x * a % m
+        k += 1
+    return k
+
+
 # --- classes from powers of a primitive root ---------------------------------
 
 
@@ -142,7 +154,7 @@ def prime_power_classes(p: int, e: int, g: int) -> PrimePowerClasses:
     q = p**e
     phi = q // p * (p - 1)
     g %= q
-    if g % p == 0 or numtheory.multiplicative_order(g, q) != phi:
+    if g % p == 0 or multiplicative_order(g, q) != phi:
         raise NotPrimitiveRoot(g, q)
     g2 = g * g % q
     d0 = []

@@ -60,6 +60,20 @@ def test_generate_rejects_bad_spec_line(tmp_path, capsys):
     assert "21:00" in err
 
 
+@pytest.mark.parametrize(
+    "spec, d",
+    [("15:11\n15:10", 15), ("15:10\n015:11", 15), ("3:1\n15:11\n3:1", 3)],
+)
+def test_generate_rejects_a_divisor_listed_twice(tmp_path, capsys, spec, d):
+    spec_file = tmp_path / "a.spec"
+    spec_file.write_text(spec + "\n")
+    inline = spec.replace("\n", ";")
+    for option, value in (("--spec", str(spec_file)), ("--assignment", inline)):
+        code, out, err = run(capsys, "generate", "--factors", "3:1,5:1", option, value)
+        assert (code, out) == (2, ""), option
+        assert f"divisor {d} is listed twice" in err, option
+
+
 def test_lincomp_all_methods_n21(capsys):
     code, out, _ = run(
         capsys, "lincomp", "--factors", "3:1,7:1", "--all-ones-top", "--method", "all"

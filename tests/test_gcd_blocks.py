@@ -11,18 +11,17 @@ from dhseq.cyclotomy import VectorAssignment
 from dhseq.errors import MethodDisagreement
 from dhseq.lincomp import (
     block_zero_counts,
-    divisor_blocks,
     lincomp_bm,
     lincomp_gcd,
     orbit_kernel,
 )
 from dhseq.numtheory import (
+    divisor_blocks,
     divisors,
     factorize,
     h_orbits,
     is_prime,
     label_sum_parities,
-    multiplicative_order,
     validate_modulus,
 )
 from dhseq.sequence import RawPeriod, delta, generate
@@ -35,6 +34,7 @@ from oracles import (
     gcd_by_divmod,
     label_sum_parities_by_count,
     lincomp_gcd_euclid,
+    multiplicative_order,
     orbit_kernel_rotations,
 )
 

@@ -7,20 +7,19 @@ from dhseq import numtheory
 from dhseq.errors import EvenOrRepeatedPrime, GcdConditionViolated, NotPrime
 from dhseq.numtheory import (
     Modulus,
-    carmichael,
     combined_root,
     crt_combine,
+    divisor_blocks,
     enumerate_valid_moduli,
     factorize,
     is_prime,
-    multiplicative_order,
     order_of_two,
     primitive_root,
     validate_modulus,
 )
 
 from conftest import valid_moduli
-from oracles import crt_view, is_prime_miller_rabin, legendre
+from oracles import crt_view, is_prime_miller_rabin, legendre, multiplicative_order
 
 
 # Brute-force oracles, deliberately independent of the implementation paths.
@@ -28,16 +27,6 @@ from oracles import crt_view, is_prime_miller_rabin, legendre
 
 def brute_is_prime(n):
     return n >= 2 and all(n % k for k in range(2, n))
-
-
-def brute_order(a, m):
-    x = a % m
-    k = 1
-    while x != 1:
-        x = x * a % m
-        k += 1
-        assert k <= m
-    return k
 
 
 def brute_divisors(n):
@@ -134,9 +123,9 @@ def test_primitive_root_is_smallest_generator():
             q = p**e
             phi = q // p * (p - 1)
             g = primitive_root(p, e)
-            assert brute_order(g, q) == phi
+            assert multiplicative_order(g, q) == phi
             for h in range(2, g):
-                assert math.gcd(h, q) != 1 or brute_order(h, q) < phi
+                assert math.gcd(h, q) != 1 or multiplicative_order(h, q) < phi
 
 
 def test_primitive_root_rejects_nonprime():
@@ -183,7 +172,7 @@ def test_combined_root_generates_every_factor_group():
         g = combined_root(m)
         for p, e in m.factors:
             q = p**e
-            assert brute_order(g % q, q) == q // p * (p - 1)
+            assert multiplicative_order(g % q, q) == q // p * (p - 1)
 
 
 def test_legendre_examples():
@@ -224,22 +213,56 @@ def test_nonsquare_table_is_cached():
 
 
 def test_order_of_two_examples():
-    assert brute_order(2, 21) == 6
+    assert multiplicative_order(2, 21) == 6
     assert order_of_two(21) == 6
-    assert brute_order(2, 33) == 10
+    assert multiplicative_order(2, 33) == 10
     assert order_of_two(33) == 10
     assert order_of_two(3) == 2
 
 
-def test_order_of_two_minimal_and_divides_carmichael():
+def test_order_of_two_minimal_and_equals_brute_force():
     for n in range(3, 10_000, 2):
         d = order_of_two(n)
-        assert pow(2, d, n) == 1
-        assert carmichael(n) % d == 0
+        assert d == multiplicative_order(2, n), n
         # minimality: no proper divisor of d already reaches 1
         for k in range(1, d):
             if d % k == 0:
                 assert pow(2, k, n) != 1
+
+
+@pytest.mark.parametrize("p, order", [(1093, 364), (3511, 1755)])
+def test_order_of_two_stays_at_wieferich_squares(p, order):
+    # 2^(p-1) = 1 (mod p^2): the lift from p to p^2 keeps the order
+    assert order_of_two(p) == order_of_two(p * p) == order
+    assert multiplicative_order(2, p * p) == order
+
+
+@pytest.mark.parametrize(
+    "p, e, order",
+    [
+        (3, 15, 2 * 3**14),
+        (5, 10, 4 * 5**9),
+        (7, 8, 3 * 7**7),
+        (11, 6, 10 * 11**5),
+        (13, 6, 12 * 13**5),
+    ],
+)
+def test_order_of_two_at_high_prime_powers(p, e, order):
+    q = p**e
+    t = order_of_two(q)
+    assert t == order
+    assert pow(2, t, q) == 1
+    # t divides p^(e-1) (p - 1), so its primes are at most p
+    primes = [r for r in range(2, p + 1) if brute_is_prime(r) and t % r == 0]
+    assert all(pow(2, t // r, q) != 1 for r in primes)
+
+
+def test_divisor_blocks_at_a_wieferich_square():
+    assert divisor_blocks([(1093, 2)]) == {
+        1: ((), 1),
+        1093: (((1093, 1),), 364),
+        1194649: (((1093, 2),), 364),
+    }
 
 
 def test_order_of_two_rejects_even_or_tiny():
@@ -247,11 +270,6 @@ def test_order_of_two_rejects_even_or_tiny():
         order_of_two(10)
     with pytest.raises(ValueError):
         order_of_two(1)
-
-
-def test_multiplicative_order_rejects_nonunit():
-    with pytest.raises(ValueError):
-        multiplicative_order(3, 9)
 
 
 def divisors_gt1(n: int) -> list[int]:
