@@ -236,7 +236,7 @@ def survey_row(modulus: Modulus, assignment: VectorAssignment, degree_cap=None) 
 def cmd_survey(args) -> int:
     if args.max_n > args.cap:
         raise DHSeqError(f"--max-n {args.max_n} exceeds the survey cap {args.cap}")
-    # no period reaches MAX_PERIOD, and the prime sieve would take max_n bytes
+    # validate_modulus refuses n >= MAX_PERIOD; a survey lists only periods it accepts
     if args.max_n >= numtheory.MAX_PERIOD:
         raise DHSeqError(
             f"--max-n {args.max_n} is not below the supported period bound {numtheory.MAX_PERIOD}"

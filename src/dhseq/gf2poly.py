@@ -23,19 +23,6 @@ def degree(a: int):
     return a.bit_length() - 1 if a else None
 
 
-def mul(a: int, b: int) -> int:
-    """Carry-less (GF(2)) product."""
-    if a < b:
-        a, b = b, a
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    return acc
-
-
 def square(a: int) -> int:
     """a^2 = a(x^2) over GF(2): bit i moves to bit 2i, done at C speed by
     reading the binary digits of a as base-4 digits."""
@@ -230,7 +217,7 @@ class BinaryField:
             return a * b
         if self._reduce is None:
             self._reduce = _reducer(self.modulus_poly)
-        return self._reduce(mul(a, b))
+        return self._reduce(_times(a)(b))
 
     def alpha_powers(self) -> tuple[int, ...]:
         """alpha^0 .. alpha^(n-1): since alpha = x, each power is the last

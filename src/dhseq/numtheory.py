@@ -2,14 +2,16 @@
 
 Everything here is deterministic and pure: factorization is plain trial
 division (periods arrive factored and below MAX_PERIOD; only their primes,
-totients and small survey inputs get factored here), primality is a
-factorization, exact for every n, and primitive roots are always the
+totients and survey periods get factored here: a survey factors each odd
+n up to its bound and keeps those that pass the totient rule), primality
+is a factorization, exact for every n, and primitive roots are always the
 smallest positive ones.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from collections import Counter
@@ -128,13 +130,21 @@ def validate_modulus(factor_list) -> Modulus:
     for (p1, _), (p2, _) in zip(factors, factors[1:]):
         if p1 == p2:
             raise EvenOrRepeatedPrime(p1)
-    units = [p ** (e - 1) * (p - 1) for p, e in factors]
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            g = math.gcd(units[i], units[j])
-            if g != 2:
-                raise GcdConditionViolated(factors[i][0], factors[j][0], g)
+    clash = _totient_clash(factors)
+    if clash:
+        raise GcdConditionViolated(*clash)
     return Modulus(tuple(factors), n)
+
+
+def _totient_clash(factors):
+    """(p, q, g) for the first pair p < q of the ascending, distinct odd
+    prime factors whose totients p^(e-1)(p-1) and q^(f-1)(q-1) have gcd
+    g != 2; None when every pair has gcd exactly 2."""
+    for (p, e), (q, f) in itertools.combinations(factors, 2):
+        g = math.gcd(p ** (e - 1) * (p - 1), q ** (f - 1) * (q - 1))
+        if g != 2:
+            return p, q, g
+    return None
 
 
 def crt_combine(residues: Sequence[int], modulus: Modulus) -> int:
@@ -337,38 +347,12 @@ def h_orbits(n: int) -> HOrbits:
     return HOrbits(labels, reps, tuple(sizes[k] for k in range(count)))
 
 
-def _odd_primes_upto(limit: int) -> list[int]:
-    if limit < 3:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(3, limit + 1, 2) if sieve[i]]
-
-
 def enumerate_valid_moduli(max_n: int) -> list[Modulus]:
-    """Every valid modulus with n <= max_n, ascending by n."""
-    primes = _odd_primes_upto(max_n)
-    out: list[Modulus] = []
-    # (j, factors, totients, n): the products of n with powers of primes[j]
-    # and later primes are still to be tried
-    stack = [(0, (), (), 1)]
-    while stack:
-        j, facs, units, n = stack.pop()
-        if j == len(primes) or n * primes[j] > max_n:
-            continue
-        p = primes[j]
-        stack.append((j + 1, facs, units, n))  # the products without p
-        q, e = p, 1
-        while n * q <= max_n:
-            u = q // p * (p - 1)
-            if all(math.gcd(u, v) == 2 for v in units):
-                grown = facs + ((p, e),)
-                out.append(Modulus(grown, n * q))
-                stack.append((j + 1, grown, units + (u,), n * q))
-            q *= p
-            e += 1
-    out.sort(key=lambda m: m.n)
+    """Every valid modulus with n <= max_n, ascending by n: the odd n whose
+    factors pass the totient rule of validate_modulus."""
+    out = []
+    for n in range(3, max_n + 1, 2):
+        factors = factorize(n)
+        if not _totient_clash(factors):
+            out.append(Modulus(tuple(factors), n))
     return out

@@ -16,9 +16,10 @@ parity pass, the per-bit Berlekamp-Massey loop from before it jumped
 between nonzero discrepancies, a Euclid and a Rabin irreducibility test
 on long division (every oracle reduces by divmod_), the generic
 powmod and minimal-polynomial route build_field took before its reduction
-table and multiply window, the multiplicative order by repeated
-multiplication, and small helpers only tests need; tests compare the fast
-routes against them.
+table and multiply window, the shift-and-add carry-less product the
+field multiplied by before it used its nibble window, the multiplicative
+order by repeated multiplication, and small helpers only tests need; tests
+compare the fast routes against them.
 """
 
 import functools
@@ -238,6 +239,19 @@ def legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
+def mul(a: int, b: int) -> int:
+    """Carry-less (GF(2)) product by shift and add, one bit of b per step."""
+    if a < b:
+        a, b = b, a
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    return acc
+
+
 def divmod_(a: int, b: int) -> tuple[int, int]:
     """Quotient and remainder of GF(2) polynomials a / b, for nonzero b."""
     if b == 0:
@@ -269,7 +283,7 @@ def is_irreducible_by_division(f: int) -> bool:
     x = divmod_(2, f)[1]
     h = x
     for k in range(1, m + 1):
-        h = divmod_(gf2poly.mul(h, h), f)[1]
+        h = divmod_(mul(h, h), f)[1]
         if k in checkpoints and gcd_by_divmod(f, h ^ x) != 1:
             return False
     return h == x
@@ -284,7 +298,7 @@ def powmod(a: int, k: int, m: int) -> int:
     acc = 1
     while k:
         if k & 1:
-            acc = divmod_(gf2poly.mul(acc, a), m)[1]
+            acc = divmod_(mul(acc, a), m)[1]
         a = divmod_(gf2poly.square(a), m)[1]
         k >>= 1
     return acc
@@ -309,7 +323,7 @@ def minimal_polynomial(a: int, f: int, m: int) -> int:
             combo ^= bc
         else:
             return combo
-        power = divmod_(gf2poly.mul(power, a), f)[1]
+        power = divmod_(mul(power, a), f)[1]
     raise ArithmeticError(f"{f:#b} is not of degree {m}")
 
 
@@ -347,7 +361,7 @@ class SmallestIrreducibleField(gf2poly.BinaryField):
         if self._alpha_pow is None:
             out = [1]
             for _ in range(self.n - 1):
-                out.append(divmod_(gf2poly.mul(out[-1], self.alpha), self.modulus_poly)[1])
+                out.append(divmod_(mul(out[-1], self.alpha), self.modulus_poly)[1])
             self._alpha_pow = tuple(out)
         return self._alpha_pow
 
@@ -394,7 +408,7 @@ def eval_poly(f: int, x: int, field) -> int:
         return 0
     acc = 0
     for i in range(d, -1, -1):
-        acc = divmod_(gf2poly.mul(acc, x), field.modulus_poly)[1] ^ ((f >> i) & 1)
+        acc = divmod_(mul(acc, x), field.modulus_poly)[1] ^ ((f >> i) & 1)
     return acc
 
 
@@ -428,7 +442,7 @@ def cyclotomic_by_division(d: int) -> int:
     den = 1
     for e in range(1, d):
         if d % e == 0:
-            den = gf2poly.mul(den, cyclotomic_by_division(e))
+            den = mul(den, cyclotomic_by_division(e))
     q, r = divmod_((1 << d) | 1, den)
     assert r == 0
     return q
@@ -558,7 +572,7 @@ def odd_tuple_sum_by_enumeration(field, a_d, pairs) -> int:
     for tup in sorted(index_sets(a_d)[1]):
         term = 1
         for bit, pair in zip(tup, pairs):
-            term = divmod_(gf2poly.mul(term, pair[bit]), field.modulus_poly)[1]
+            term = divmod_(mul(term, pair[bit]), field.modulus_poly)[1]
         acc ^= term
     return acc
 

@@ -12,7 +12,6 @@ from dhseq.gf2poly import (
     degree,
     gcd,
     is_irreducible,
-    mul,
     smallest_irreducible,
     square,
 )
@@ -28,6 +27,7 @@ from oracles import (
     gcd_by_divmod,
     is_irreducible_by_division,
     minimal_polynomial,
+    mul,
     powmod,
     smallest_irreducible_field,
 )

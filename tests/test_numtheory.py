@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dhseq import numtheory
-from dhseq.errors import EvenOrRepeatedPrime, GcdConditionViolated, NotPrime
+from dhseq.errors import DHSeqError, EvenOrRepeatedPrime, GcdConditionViolated, NotPrime
 from dhseq.numtheory import (
     Modulus,
     combined_root,
@@ -31,6 +32,18 @@ def brute_is_prime(n):
 
 def brute_divisors(n):
     return [d for d in range(2, n + 1) if n % d == 0]
+
+
+def brute_factorize(n):
+    """(prime, exponent) pairs of n, ascending, by the prime divisors of n."""
+    out = []
+    for p in brute_divisors(n):
+        if brute_is_prime(p):
+            e = 0
+            while n % p ** (e + 1) == 0:
+                e += 1
+            out.append((p, e))
+    return out
 
 
 def test_is_prime_matches_trial_division():
@@ -81,10 +94,13 @@ def test_validate_modulus_accepts_39_rejects_65():
     assert math.gcd(2, 12) == 2
     assert validate_modulus([(3, 1), (13, 1)]).n == 39
     assert math.gcd(4, 12) == 4
-    with pytest.raises(GcdConditionViolated) as exc:
-        validate_modulus([(5, 1), (13, 1)])
-    assert exc.value.pair == (5, 13)
-    assert exc.value.gcd_value == 4
+    # the first clashing pair in ascending order, however the input is
+    # ordered; 5*13*17 clashes in all three pairs, each with gcd 4
+    for factors in ([(5, 1), (13, 1)], [(13, 1), (5, 1), (3, 1)], [(17, 1), (13, 1), (5, 1)]):
+        with pytest.raises(GcdConditionViolated) as exc:
+            validate_modulus(factors)
+        assert exc.value.pair == (5, 13)
+        assert exc.value.gcd_value == 4
 
 
 def test_validate_modulus_rejects_63():
@@ -288,17 +304,24 @@ def test_proper_divisors_against_scan():
 
 
 def test_enumerate_valid_moduli_matches_bruteforce():
-    listed = {m.n for m in valid_moduli(300)}
-    expected = set()
-    for n in range(3, 301, 2):
-        try:
-            validate_modulus(factorize(n))
-        except Exception:
-            continue
-        expected.add(n)
-    assert listed == expected
+    # the whole list, order and factor tuples, against the totient rule
+    # written out here and against validate_modulus
+    expected = []
+    for n in range(3, 3001, 2):
+        factors = brute_factorize(n)
+        totients = [p ** (e - 1) * (p - 1) for p, e in factors]
+        if all(math.gcd(u, v) == 2 for u, v in itertools.combinations(totients, 2)):
+            expected.append(Modulus(tuple(factors), n))
+        else:
+            with pytest.raises(DHSeqError):
+                validate_modulus(factors)
+    assert enumerate_valid_moduli(3000) == expected
+    assert all(validate_modulus(m.factors) == m for m in expected)
+    listed = {m.n for m in expected}
     assert {9, 15, 21, 105} <= listed
     assert 63 not in listed
+    for max_n, below in ((0, []), (1, []), (2, []), (3, [3])):
+        assert [m.n for m in enumerate_valid_moduli(max_n)] == below
 
 
 def test_enumerate_valid_moduli_entries_revalidate():
@@ -319,7 +342,7 @@ def test_modulus_divisor_factorization():
 
 
 def test_validate_modulus_period_bound():
-    from dhseq.errors import DHSeqError, PeriodTooLarge
+    from dhseq.errors import PeriodTooLarge
 
     assert 3**15 < numtheory.MAX_PERIOD < 3**16
     assert validate_modulus([(3, 15)]).n == 3**15
