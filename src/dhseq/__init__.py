@@ -22,7 +22,6 @@ from .theorems import (
     check_lemma3,
     check_lemma4,
     check_theorem1,
-    crt_split,
     predicted_L_two_primes,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "check_theorem1",
     "combined_root",
     "crt_combine",
-    "crt_split",
     "delta",
     "enumerate_valid_moduli",
     "generalized_classes",

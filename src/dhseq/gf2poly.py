@@ -132,6 +132,11 @@ def is_irreducible(f: int) -> bool:
     return h == x
 
 
+# the longest walk over m = 2..256 tests 531 candidates (m = 256), 8x below
+# this bound, which ends a wrong is_irreducible's walk in an error, not a hang
+_MAX_IRREDUCIBLE_WALK = 4096
+
+
 @functools.cache
 def smallest_irreducible(m: int) -> int:
     """The degree-m irreducible with the smallest coefficient integer
@@ -140,10 +145,10 @@ def smallest_irreducible(m: int) -> int:
         raise ValueError("degree must be positive")
     if m == 1:
         return 2
-    for c in range((1 << m) + 1, 1 << (m + 1), 2):
+    for c in range((1 << m) + 1, 1 << (m + 1), 2)[:_MAX_IRREDUCIBLE_WALK]:
         if is_irreducible(c):
             return c
-    raise ArithmeticError(f"no irreducible polynomial of degree {m}")
+    raise ArithmeticError(f"no irreducible of degree {m} in {_MAX_IRREDUCIBLE_WALK} candidates")
 
 
 # _LOW_BIT[v] = (v & -v).bit_length(): one past the index of the lowest set

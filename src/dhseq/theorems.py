@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import cyclotomy, gf2poly, lincomp, numtheory, sequence
 from .cyclotomy import VectorAssignment
-from .errors import MethodDisagreement, OutsideCaseTable
+from .errors import OutsideCaseTable
 from .gf2poly import BinaryField
 from .numtheory import Modulus
 from .sequence import DHSequence, delta
@@ -38,8 +38,29 @@ class CheckVerdict:
         return not self.applicable or bool(self.holds)
 
 
-def _classes(modulus: Modulus, d: int, a_d) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return cyclotomy.generalized_classes(modulus.divisor_factorization(d), a_d)
+class _DivisorMemo:
+    """One run's memo over the divisors d > 1 of n: the class pair (d0, d1)
+    of d under the assignment, and the spectrum of each class lifted to Z_n
+    by n/d, each built on its first read."""
+
+    def __init__(self, modulus: Modulus, assignment: VectorAssignment, field: BinaryField | None):
+        self.modulus, self.assignment, self.field = modulus, assignment, field
+        self._classes, self._spectra = {}, {}
+
+    def classes(self, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if d not in self._classes:
+            self._classes[d] = cyclotomy.generalized_classes(
+                self.modulus.divisor_factorization(d), self.assignment.vector_for(d)
+            )
+        return self._classes[d]
+
+    def spectrum(self, d: int, j: int) -> lincomp.Spectrum:
+        """The spectrum of {(n/d) x mod n : x in class j of d}."""
+        if (d, j) not in self._spectra:
+            n = self.modulus.n
+            lifted = [n // d * x % n for x in self.classes(d)[j]]
+            self._spectra[d, j] = lincomp.spectrum(lifted, self.field)
+        return self._spectra[d, j]
 
 
 def check_lemma1(modulus: Modulus, d: int, a_d, classes=None) -> CheckVerdict:
@@ -50,7 +71,7 @@ def check_lemma1(modulus: Modulus, d: int, a_d, classes=None) -> CheckVerdict:
     a_d = tuple(a_d)
     if sum(a_d) % 2 == 0:
         return CheckVerdict(name, False, None, "even coordinate sum")
-    d0, d1 = classes or _classes(modulus, d, a_d)
+    d0, d1 = classes or cyclotomy.generalized_classes(modulus.divisor_factorization(d), a_d)
     g = numtheory.combined_root(modulus) % d
     swapped0 = {g * x % d for x in d0}
     swapped1 = {g * x % d for x in d1}
@@ -61,19 +82,19 @@ def check_lemma1(modulus: Modulus, d: int, a_d, classes=None) -> CheckVerdict:
 
 def check_lemma2(
     modulus: Modulus, assignment: VectorAssignment, d: int,
-    field: BinaryField | None = None, classes=None,
+    field: BinaryField | None = None, memo: _DivisorMemo | None = None,
 ) -> CheckVerdict:
     """Scaled-class evaluations must match under the root-for-argument swap:
     the lifted d1 sum at alpha^(vg) equals the lifted d0 sum at alpha^v.
 
-    Without a field only the underlying set identity is checked. `classes`
-    is as for check_lemma1.
+    Without a field only the underlying set identity is checked. `memo`,
+    the run's divisor memo, is built when not given.
     """
     name = f"lemma2(d={d})"
-    a_d = assignment.vector_for(d)
-    if sum(a_d) % 2 == 0:
+    if sum(assignment.vector_for(d)) % 2 == 0:
         return CheckVerdict(name, False, None, "even coordinate sum")
-    d0, d1 = classes or _classes(modulus, d, a_d)
+    memo = memo or _DivisorMemo(modulus, assignment, field)
+    d0, d1 = memo.classes(d)
     n = modulus.n
     k = n // d
     g = numtheory.combined_root(modulus)
@@ -82,8 +103,7 @@ def check_lemma2(
     if {g * x % n for x in lifted1} != lifted0:
         return CheckVerdict(name, True, False, f"set form fails for d={d}")
     if field is not None:
-        s0 = lincomp.spectrum(lifted0, field)
-        s1 = lincomp.spectrum(lifted1, field)
+        s0, s1 = memo.spectrum(d, 0), memo.spectrum(d, 1)
         for v in lincomp.common_reps(s0, s1)[1:]:
             if s1[v * g % n] != s0[v]:
                 return CheckVerdict(name, True, False, f"evaluation form fails at v={v}")
@@ -142,23 +162,6 @@ def check_corollary(
     return CheckVerdict(name, True, False, f"L={L}, expected {expected}")
 
 
-def crt_split(modulus: Modulus, d: int) -> tuple[int, ...]:
-    """Weights b_k writing n/d as a combination of the cofactors n/q_k, one
-    per prime power q_k of a divisor d > 1 of n (in the order of
-    modulus.divisor_factorization(d)), least nonnegative.
-
-    Defining congruence: sum of b_k * (n/q_k) over the prime powers q_k of d
-    equals n/d modulo n, with every b_k a unit modulo its q_k.
-    """
-    facs = modulus.divisor_factorization(d)
-    qs = tuple(p**l for p, l in facs)
-    bs = tuple(pow(d // q, -1, q) for q in qs)
-    n = modulus.n
-    if sum(b * (n // q) for b, q in zip(bs, qs)) % n != n // d:
-        raise MethodDisagreement(f"CRT split coefficients {bs} for d={d} miss n/d")
-    return bs
-
-
 def _odd_tuple_sum(field: BinaryField, a_d, pairs) -> int:
     """The sum, over the index tuples i whose dot product with a_d is odd,
     of the products of pairs[j][i_j], by one pass over the factors: (even,
@@ -177,35 +180,29 @@ def _odd_tuple_sum(field: BinaryField, a_d, pairs) -> int:
 
 
 def check_lemma3(
-    modulus: Modulus, assignment: VectorAssignment, d: int, field: BinaryField | None, classes=None
+    modulus: Modulus, assignment: VectorAssignment, d: int, field: BinaryField | None,
+    memo: _DivisorMemo | None = None,
 ) -> CheckVerdict:
-    """The lifted d1 sum at alpha^v must factor through the per-prime-power
-    roots of unity beta_k = alpha^(b_k n/q_k) of d's own split: it equals the
-    sum over odd index tuples of the products of per-factor class sums at
-    beta_k^v. (Equivalently, with the roots from the split of n itself the
-    per-factor argument is beta^((n/d)v); the two forms coincide.) The right
-    side is taken by _odd_tuple_sum, at most four products per prime power
-    of d; the left is the spectrum of the lifted class itself. Not
-    applicable without a field; `classes` is as for check_lemma1."""
+    """The lifted d1 sum at alpha^v must factor through the prime powers q of
+    d: it equals the sum over odd index tuples of the products of per-factor
+    class sums at beta^v, beta = alpha^(b n/q), b = (d/q)^-1 mod q. As b maps
+    class j of q onto class j xor chi_p(d/q), that sum is the memo's lifted
+    spectrum of class j xor chi_p(d/q) of q. The right side is taken by
+    _odd_tuple_sum, at most four products per prime power of d; the left is
+    the spectrum of the lifted class itself. Not applicable without a
+    field; `memo` is as for check_lemma2."""
     name = f"lemma3(d={d})"
     if field is None:
         return CheckVerdict(name, False, None, "field unavailable")
+    memo = memo or _DivisorMemo(modulus, assignment, field)
+    lhs = memo.spectrum(d, 1)
+    pairs = []
+    for p, l in modulus.divisor_factorization(d):
+        swap = numtheory.nonsquare_table(p)[d // p**l % p]
+        pairs.append((memo.spectrum(p**l, swap), memo.spectrum(p**l, 1 - swap)))
     a_d = assignment.vector_for(d)
-    d1 = (classes or _classes(modulus, d, a_d))[1]
-    n = modulus.n
-    facs = modulus.divisor_factorization(d)
-    k = n // d
-    factor_classes = [cyclotomy.generalized_classes(((p, l),), (1,)) for p, l in facs]
-    beta_exps = [b * (n // p**l) % n for b, (p, l) in zip(crt_split(modulus, d), facs)]
-    lhs = lincomp.spectrum([k * x % n for x in d1], field)
-    # factor_sums[j][b]: the class-b sum of factor j, as a spectrum in v
-    factor_sums = [
-        [lincomp.spectrum([be * c % n for c in cls], field) for cls in pair]
-        for be, pair in zip(beta_exps, factor_classes)
-    ]
-    for v in lincomp.common_reps(lhs, *(s for sums in factor_sums for s in sums))[1:]:
-        rhs = _odd_tuple_sum(field, a_d, [(s0[v], s1[v]) for s0, s1 in factor_sums])
-        if lhs[v] != rhs:
+    for v in lincomp.common_reps(lhs, *(s for pair in pairs for s in pair))[1:]:
+        if lhs[v] != _odd_tuple_sum(field, a_d, [(s0[v], s1[v]) for s0, s1 in pairs]):
             return CheckVerdict(name, True, False, f"mismatch at v={v}")
     return CheckVerdict(name, True, True)
 
@@ -260,26 +257,26 @@ def all_checks(
     check for "all", in a deterministic order.
 
     Checks that require a field are reported as not applicable when none is
-    supplied (extension degree above the cap). The requested lemmas of a
-    divisor share one class pair, built only when one of them reads it
-    (lemma1 and lemma2 on an odd coordinate sum, lemma3 with a field). When
+    supplied (extension degree above the cap). The lemmas share one divisor
+    memo per run, so each class pair and each lifted-class spectrum is built
+    once, on its first read (lemma1 and lemma2 read d on an odd coordinate
+    sum; lemma3, with a field, reads d and its prime powers). When
     theorem1 is requested, one period and one gcd serve it and the
     corollary; the corollary alone measures only where it applies.
     """
     if check != "all" and check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECKS} or 'all'")
     out = {name: [] for name in (CHECKS if check == "all" else (check,))}
+    memo = _DivisorMemo(modulus, assignment, field)
     for d in modulus.divisors_gt1():
-        a_d = assignment.vector_for(d)
-        odd_reads = sum(a_d) % 2 and ("lemma1" in out or "lemma2" in out)
-        reads = odd_reads or field is not None and "lemma3" in out
-        classes = _classes(modulus, d, a_d) if reads else None
         if "lemma1" in out:
+            a_d = assignment.vector_for(d)
+            classes = memo.classes(d) if sum(a_d) % 2 else None
             out["lemma1"].append(check_lemma1(modulus, d, a_d, classes))
         if "lemma2" in out:
-            out["lemma2"].append(check_lemma2(modulus, assignment, d, field, classes))
+            out["lemma2"].append(check_lemma2(modulus, assignment, d, field, memo))
         if "lemma3" in out:
-            out["lemma3"].append(check_lemma3(modulus, assignment, d, field, classes))
+            out["lemma3"].append(check_lemma3(modulus, assignment, d, field, memo))
     if "lemma4" in out:
         out["lemma4"].append(check_lemma4(modulus, field))
     shared = "theorem1" in out and not _has_even_vector(modulus, assignment)

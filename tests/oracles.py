@@ -12,14 +12,15 @@ parity tables and a count of those tables, the GF(2^m) the spectral route
 used before it was re-based on the minimal polynomial of alpha, the
 Miller-Rabin primality test the package used before it tested primes by
 factorization, the odd-index-tuple enumeration lemma3 expanded before its
-parity pass, the per-bit Berlekamp-Massey loop from before it jumped
-between nonzero discrepancies, a Euclid and a Rabin irreducibility test
-on long division (every oracle reduces by divmod_), the generic
-powmod and minimal-polynomial route build_field took before its reduction
-table and multiply window, the shift-and-add carry-less product the
-field multiplied by before it used its nibble window, the multiplicative
-order by repeated multiplication, and small helpers only tests need; tests
-compare the fast routes against them.
+parity pass, the CRT split weights b_k lemma3 took its per-factor roots
+from before it read the lifted classes of each prime power, the per-bit
+Berlekamp-Massey loop from before it jumped between nonzero discrepancies,
+a Euclid and a Rabin irreducibility test on long division (every oracle
+reduces by divmod_), the generic powmod and minimal-polynomial route
+build_field took before its reduction table and multiply window, the
+shift-and-add carry-less product the field multiplied by before it used its
+nibble window, the multiplicative order by repeated multiplication, and
+small helpers only tests need; tests compare the fast routes against them.
 """
 
 import functools
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 from dhseq import gf2poly, lincomp, numtheory, sequence
 from dhseq.cyclotomy import VectorAssignment
-from dhseq.errors import DHSeqError, ZeroVector
-from dhseq.theorems import CheckVerdict, crt_split
+from dhseq.errors import DHSeqError, MethodDisagreement, ZeroVector
+from dhseq.theorems import CheckVerdict
 
 
 def from_bits(bits) -> int:
@@ -575,6 +576,23 @@ def odd_tuple_sum_by_enumeration(field, a_d, pairs) -> int:
             term = divmod_(mul(term, pair[bit]), field.modulus_poly)[1]
         acc ^= term
     return acc
+
+
+def crt_split(modulus, d: int) -> tuple[int, ...]:
+    """Weights b_k writing n/d as a combination of the cofactors n/q_k, one
+    per prime power q_k of a divisor d > 1 of n (in the order of
+    modulus.divisor_factorization(d)), least nonnegative.
+
+    Defining congruence: sum of b_k * (n/q_k) over the prime powers q_k of d
+    equals n/d modulo n, with every b_k a unit modulo its q_k.
+    """
+    facs = modulus.divisor_factorization(d)
+    qs = tuple(p**l for p, l in facs)
+    bs = tuple(pow(d // q, -1, q) for q in qs)
+    n = modulus.n
+    if sum(b * (n // q) for b, q in zip(bs, qs)) % n != n // d:
+        raise MethodDisagreement(f"CRT split coefficients {bs} for d={d} miss n/d")
+    return bs
 
 
 def lemma3_sweep(modulus, assignment, d, field) -> CheckVerdict:

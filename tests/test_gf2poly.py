@@ -177,6 +177,22 @@ def test_smallest_irreducible_examples():
             assert not brute_irreducible(c)
 
 
+def test_smallest_irreducible_walk_is_bounded(monkeypatch):
+    # the longest real walk (m = 256) resolves well inside the bound
+    f = smallest_irreducible(256)
+    assert degree(f) == 256 and is_irreducible(f)
+    assert (f - (1 << 256) - 1) // 2 < gf2poly._MAX_IRREDUCIBLE_WALK // 4
+    # an is_irreducible that rejects everything ends the walk in an error,
+    # after exactly the bound; __wrapped__ leaves the cache untouched
+    tested = []
+    monkeypatch.setattr(gf2poly, "is_irreducible", lambda c: tested.append(c) or False)
+    with pytest.raises(ArithmeticError, match="degree 64"):
+        smallest_irreducible.__wrapped__(64)
+    assert len(tested) == gf2poly._MAX_IRREDUCIBLE_WALK
+    monkeypatch.undo()
+    assert smallest_irreducible(64) == (1 << 64) + 0b11011
+
+
 def test_berlekamp_massey_examples():
     assert berlekamp_massey(from_bits("1111"), 4) == 1
     assert berlekamp_massey(from_bits("0101"), 4) == 2

@@ -193,7 +193,11 @@ def seeded_random_vectors(m):
     return out
 
 
-T3_FIELD_MODULI = tuple(m for m in FIELD_MODULI if m.t == 3)
+# no modulus up to 300 has t = 3 with a squared prime, so 3^2*5*11 (m = 60)
+# puts lemma3's class swap at q = 9 under the t = 3 assignments
+T3_FIELD_MODULI = tuple(m for m in FIELD_MODULI if m.t == 3) + (
+    validate_modulus([(3, 2), (5, 1), (11, 1)]),
+)
 
 
 @pytest.mark.parametrize(

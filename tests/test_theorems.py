@@ -19,12 +19,18 @@ from dhseq.theorems import (
     check_lemma3,
     check_lemma4,
     check_theorem1,
-    crt_split,
     predicted_L_two_primes,
 )
 
 from conftest import valid_moduli
-from oracles import alpha_power, eval_poly, from_bits, legendre, odd_tuple_sum_by_enumeration
+from oracles import (
+    alpha_power,
+    crt_split,
+    eval_poly,
+    from_bits,
+    legendre,
+    odd_tuple_sum_by_enumeration,
+)
 
 M21 = validate_modulus([(3, 1), (7, 1)])
 M9 = validate_modulus([(3, 2)])
@@ -430,10 +436,25 @@ def test_all_checks_builds_each_class_pair_once(monkeypatch, factors, overrides,
     monkeypatch.setattr(cyclotomy, "generalized_classes", counted)
     verdicts = theorems.all_checks(m, assignment, field)
     assert verdicts[: len(separate)] == separate
-    # one pair per divisor that any lemma needs, plus lemma3's per-factor classes
+    # one pair per divisor that any lemma reads; lemma3's prime powers are
+    # divisors it reads anyway
     needed = [d for d in divisors if field is not None or sum(assignment.vector_for(d)) % 2]
-    per_factor = sum(len(m.divisor_factorization(d)) for d in divisors) if field else 0
-    assert len(calls) == len(needed) + per_factor
+    assert sorted(calls) == sorted(
+        (m.divisor_factorization(d), assignment.vector_for(d)) for d in needed
+    )
+
+
+def test_all_checks_builds_each_lifted_spectrum_once(monkeypatch):
+    # at 1155 (t = 4, default): two lifted classes per divisor, read by
+    # lemma2 and lemma3 alike, and theorem1's period; lemma4 does not apply
+    from dhseq import lincomp
+
+    m = validate_modulus([(3, 1), (5, 1), (7, 1), (11, 1)])
+    calls = []
+    _count_calls(monkeypatch, lincomp, "spectrum", calls)
+    verdicts = theorems.all_checks(m, VectorAssignment.default(m), build_field(m.n))
+    assert all(v.passed for v in verdicts)
+    assert len(calls) <= 2 * 15 + 1
 
 
 def test_all_checks_goes_through_the_public_checks(monkeypatch):
