@@ -18,19 +18,26 @@ from .errors import AssignmentFormatError, MissingDivisorVector, ZeroVector
 from .numtheory import Modulus
 
 
-def class_pattern(d: int, tables) -> int:
-    """The class pattern of Z_d as a d-byte little-endian int.
+def class_pattern(d: int, tables) -> bytes:
+    """The class pattern of Z_d as d bytes.
 
     Byte x is the xor of table[x mod len(table)] over the given tables,
-    each of a length dividing d. With the tables chi_p of the primes that
-    a_d selects, byte x of a unit x is its class; for odd p a unit is a
-    square modulo p^e exactly when it is one modulo p, so chi_p decides
-    membership in every power of p.
+    whose lengths are pairwise coprime with a product w dividing d. The xor
+    is built at period w, one table of length p at a time (the pattern so
+    far repeated p times against the table repeated w times), and only then
+    repeated d/w times, so one table of a prime p costs O(p) bytes of work.
+    With the tables chi_p of the primes that a_d selects, byte x of a unit x
+    is its class; for odd p a unit is a square modulo p^e exactly when it is
+    one modulo p, so chi_p decides membership in every power of p.
     """
-    pattern = 0
+    pattern, w = b"\0", 1
     for table in tables:
-        pattern ^= int.from_bytes(table * (d // len(table)), "little")
-    return pattern
+        p = len(table)
+        pattern = (
+            int.from_bytes(pattern * p, "little") ^ int.from_bytes(table * w, "little")
+        ).to_bytes(w * p, "little")
+        w *= p
+    return pattern * (d // w)
 
 
 def generalized_classes(factors, a_d) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -44,9 +51,8 @@ def generalized_classes(factors, a_d) -> tuple[tuple[int, ...], tuple[int, ...]]
     if not any(a_d):
         raise ZeroVector(a_d)
     d = math.prod(p**e for p, e in factors)
-    pattern = class_pattern(
-        d, [numtheory.nonsquare_table(p) for (p, _), a in zip(factors, a_d) if a]
-    )
+    tables = [numtheory.nonsquare_table(p) for (p, _), a in zip(factors, a_d) if a]
+    pattern = int.from_bytes(class_pattern(d, tables), "little")
     units = reduce(
         and_,
         (int.from_bytes((b"\0" + b"\1" * (p - 1)) * (d // p), "little") for p, _ in factors),

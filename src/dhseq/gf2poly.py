@@ -8,6 +8,7 @@ zero polynomial instead of a sentinel that could leak into arithmetic.
 from __future__ import annotations
 
 import functools
+from itertools import compress
 
 from . import numtheory
 from .errors import BothZero, DegreeCapExceeded
@@ -16,6 +17,8 @@ DEFAULT_DEGREE_CAP = 64
 # build_field's irreducible search grows fast with m: about 0.9 s at m = 258
 # and 2 min at m = 1018 (Python 3.11, 2 vCPUs)
 MAX_DEGREE_CAP = 256
+
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def degree(a: int):
@@ -191,8 +194,10 @@ def berlekamp_massey(packed: int, length: int) -> int:
 
 
 def exponents(a: int) -> list[int]:
-    """Exponents of the nonzero terms of a, ascending."""
-    return [i for i, c in enumerate(format(a, "b")[::-1]) if c == "1"]
+    """Exponents of the nonzero terms of a, ascending, picked at C speed by
+    compressing the range with the binary digits of a read as 0/1 bytes."""
+    digits = format(a, "b")[::-1].encode("ascii").translate(_DIGIT_BYTES)
+    return list(compress(range(a.bit_length()), digits))
 
 
 class BinaryField:

@@ -58,10 +58,13 @@ def generate(modulus: Modulus, assignment: VectorAssignment) -> DHSequence:
     block (n/d)*Z_d*, and its bit is the class of the unit part of i there.
     For odd p a unit is a square modulo p^e exactly when it is one modulo p,
     so the class pattern of a whole block Z_d is the xor of the tables chi_p
-    repeated d/p times, over the primes p of d that a_d selects
-    (cyclotomy.class_pattern). Writing the blocks at stride n/d in
-    decreasing order of d leaves every index with the bit of its own block,
-    since a non-unit x of Z_d is rewritten by the smaller block d/gcd(x, d).
+    of the primes of d that a_d selects, built at the period of those primes
+    and repeated up to d bytes (cyclotomy.class_pattern). Writing the blocks
+    at stride n/d in decreasing order of d leaves every index with the bit
+    of its own block, since a non-unit x of Z_d is rewritten by the smaller
+    block d/gcd(x, d). The buffer holds the period in reverse, byte n-1-i
+    for s_i, so its ASCII digits read as one base-2 int with no reversed
+    copy.
     """
     n = modulus.n
     chi = {p: nonsquare_table(p) for p, _ in modulus.factors}
@@ -69,9 +72,9 @@ def generate(modulus: Modulus, assignment: VectorAssignment) -> DHSequence:
     for d in sorted(modulus.divisors_gt1(), reverse=True):
         facs = modulus.divisor_factorization(d)
         tables = [chi[p] for (p, _), a in zip(facs, assignment.vector_for(d)) if a]
-        buf[:: n // d] = class_pattern(d, tables).to_bytes(d, "little")
-    buf[0] = 1
-    return DHSequence(modulus, assignment, int(buf.translate(_ASCII_BITS)[::-1], 2))
+        buf[n - 1 :: -(n // d)] = class_pattern(d, tables)
+    buf[n - 1] = 1
+    return DHSequence(modulus, assignment, int(buf.translate(_ASCII_BITS), 2))
 
 
 def sequence_line(seq) -> str:
@@ -91,10 +94,16 @@ def metadata_block(seq: DHSequence) -> str:
 
 
 def parse_bit_line(text: str) -> RawPeriod:
-    """Read a sequence file payload back into a packed period."""
+    """Read a sequence file payload back into a packed period.
+
+    After surrounding whitespace is stripped, the line must be nonempty
+    ASCII with no byte left once the digits 0 and 1 are deleted, so inner
+    spaces and the signs, underscores, prefixes and non-ASCII digits that
+    int(..., 2) would accept are all refused.
+    """
     line = text.strip()
     if len(line) >= MAX_PERIOD:
         raise PeriodTooLarge(f"of {len(line)} bits", MAX_PERIOD)
-    if not line or set(line) - {"0", "1"}:
+    if not line or not line.isascii() or line.encode("ascii").translate(None, b"01"):
         raise ValueError("sequence file must be a single line of 0/1 characters")
     return RawPeriod(int(line[::-1], 2), len(line))

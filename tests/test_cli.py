@@ -119,6 +119,16 @@ def test_lincomp_sequence_rejects_construction_options(tmp_path, capsys, extra):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("line", ["1_0", "0b1", "\uff10\uff11"])
+def test_lincomp_sequence_rejects_what_int_would_parse(tmp_path, capsys, line):
+    f = tmp_path / "junk.txt"
+    f.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "lincomp", "--sequence", str(f), "--method", "gcd")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_lincomp_spectral_cap_exceeded(capsys):
     code, _, err = run(
         capsys,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,11 +93,18 @@ def test_metadata_block():
     assert "weight=11" in meta
 
 
-def test_parse_bit_line_rejects_junk():
+# int(line, 2) accepts the prefix, the signs, the underscore and both
+# non-ASCII digit pairs, so the 0/1 check must refuse them first
+@pytest.mark.parametrize(
+    "line", ["01012", "", "0b1", "+1", "-1", "1_0", "0 1", "\u0660\u0661", "\uff10\uff11"]
+)
+def test_parse_bit_line_rejects_junk(line):
     with pytest.raises(ValueError):
-        parse_bit_line("01012")
-    with pytest.raises(ValueError):
-        parse_bit_line("")
+        parse_bit_line(line + "\n")
+
+
+def test_parse_bit_line_strips_crlf():
+    assert parse_bit_line("0110\r\n") == RawPeriod(0b0110, 4)
 
 
 def test_parse_bit_line_period_bound():
@@ -147,6 +156,27 @@ def test_generate_matches_index_oracle_three_primes_large():
     seq = generate(m, a)
     assert seq.packed == generate_by_index(m, a)
     assert seq.weight == (m.n + 1) // 2
+
+
+def _random_odd_sum(m):
+    rng = random.Random(m.n)
+    vectors = {}
+    for d in m.divisors_gt1():
+        bits = [rng.randrange(2) for _ in m.divisor_factorization(d)[1:]]
+        vectors[d] = (*bits, 1 - sum(bits) % 2)
+    return VectorAssignment(m, vectors)
+
+
+# the selected primes' period is shorter than d in some blocks of each, and
+# the top blocks xor two or three tables at n far above the Hypothesis sizes
+@pytest.mark.parametrize("make", [VectorAssignment.all_ones_top, _random_odd_sum])
+@pytest.mark.parametrize(
+    "factors", [[(3, 3), (5, 2), (23, 1)], [(5, 1), (7, 1), (11351, 1)], [(499, 1), (503, 1)]]
+)
+def test_generate_matches_index_oracle_large(factors, make):
+    m = validate_modulus(factors)
+    a = make(m)
+    assert generate(m, a).packed == generate_by_index(m, a)
 
 
 @pytest.mark.parametrize("line", ["01100", "0", "1", "000", "1000", "0001", "10110"])
