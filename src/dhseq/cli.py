@@ -234,6 +234,9 @@ def survey_row(modulus: Modulus, assignment: VectorAssignment, degree_cap=None) 
 
 
 def cmd_survey(args) -> int:
+    # 0, 1 and 2 hold no valid period and give a survey of zero rows
+    if args.max_n < 0:
+        raise DHSeqError(f"--max-n {args.max_n} is negative")
     if args.max_n > args.cap:
         raise DHSeqError(f"--max-n {args.max_n} exceeds the survey cap {args.cap}")
     # validate_modulus refuses n >= MAX_PERIOD; a survey lists only periods it accepts

@@ -1,49 +1,30 @@
 """Order-2 cyclotomic classes of each divisor and the vectors that pick them.
 
-Every class is decided by the per-prime quadratic character tables chi_p
-(numtheory.nonsquare_table) through class_pattern: sequence.generate writes
-the patterns straight into the period, and generalized_classes splits one
-into explicit sorted residue tuples for the lemma checks.
+Every class is decided by the per-prime quadratic characters chi_p, held as
+the bit tiles of numtheory.label_tiles: sequence.generate builds whole
+periods from them, and generalized_classes lists the classes of one
+divisor as explicit sorted residue tuples for the lemma checks.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
-from itertools import compress
-from operator import and_
 
-from . import numtheory
+from . import gf2poly, numtheory
 from .errors import AssignmentFormatError, MissingDivisorVector, ZeroVector
 from .numtheory import Modulus
-
-
-def class_pattern(d: int, tables) -> bytes:
-    """The class pattern of Z_d as d bytes.
-
-    Byte x is the xor of table[x mod len(table)] over the given tables,
-    whose lengths are pairwise coprime with a product w dividing d. The xor
-    is built at period w, one table of length p at a time (the pattern so
-    far repeated p times against the table repeated w times), and only then
-    repeated d/w times, so one table of a prime p costs O(p) bytes of work.
-    With the tables chi_p of the primes that a_d selects, byte x of a unit x
-    is its class; for odd p a unit is a square modulo p^e exactly when it is
-    one modulo p, so chi_p decides membership in every power of p.
-    """
-    pattern, w = b"\0", 1
-    for table in tables:
-        p = len(table)
-        pattern = (
-            int.from_bytes(pattern * p, "little") ^ int.from_bytes(table * w, "little")
-        ).to_bytes(w * p, "little")
-        w *= p
-    return pattern * (d // w)
 
 
 def generalized_classes(factors, a_d) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Both classes (d0, d1) of Z_d*, ascending, for d given by its
     factorization: a unit lands in class j when the parity of its per-factor
-    nonsquare indicators, dotted with a_d, is j."""
+    nonsquare indicators, dotted with a_d, is j.
+
+    For odd p a unit is a square modulo p^e exactly when it is one modulo p,
+    so only the valuation-0 tiles of label_tiles(p, 1) are read: the units
+    of Z_d are the AND of their unions, and d1 is the units under the xor
+    of the nonsquare tiles of the primes a_d selects.
+    """
     factors = tuple(factors)
     a_d = tuple(a_d)
     if len(a_d) != len(factors):
@@ -51,17 +32,14 @@ def generalized_classes(factors, a_d) -> tuple[tuple[int, ...], tuple[int, ...]]
     if not any(a_d):
         raise ZeroVector(a_d)
     d = math.prod(p**e for p, e in factors)
-    tables = [numtheory.nonsquare_table(p) for (p, _), a in zip(factors, a_d) if a]
-    pattern = int.from_bytes(class_pattern(d, tables), "little")
-    units = reduce(
-        and_,
-        (int.from_bytes((b"\0" + b"\1" * (p - 1)) * (d // p), "little") for p, _ in factors),
-    )
-    d1 = pattern & units
-    return (
-        tuple(compress(range(d), (units ^ d1).to_bytes(d, "little"))),
-        tuple(compress(range(d), d1.to_bytes(d, "little"))),
-    )
+    units, d1 = (1 << d) - 1, 0
+    for (p, _), a in zip(factors, a_d):
+        _, (squares, _), (nonsquares, _) = numtheory.label_tiles(p, 1)
+        units &= numtheory.repeat_bits(squares | nonsquares, p, d)
+        if a:
+            d1 ^= numtheory.repeat_bits(nonsquares, p, d)
+    d1 &= units
+    return tuple(gf2poly.exponents(units ^ d1)), tuple(gf2poly.exponents(d1))
 
 
 def _unit_last(m: int) -> tuple[int, ...]:

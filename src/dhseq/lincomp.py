@@ -127,32 +127,18 @@ def orbit_kernel(s: int, d: int, factors) -> int | None:
     per prime power: each prefix takes the Kronecker product of its
     table with the sum over its subtrie.
 
-    The only d-bit work is the hit test. Each label's mask is one period
-    of numtheory.prime_power_labels, tiled once to d bits by doubling
-    shifts, and a prefix's mask is the AND of its labels' masks. A prefix
-    that misses S_d is pruned; an orbit that meets S_d in part (the test
-    lincomp.spectrum makes) ends the route.
+    The only d-bit work is the hit test. Each label's mask is its tile
+    from numtheory.label_tiles repeated to d bits, and a prefix's mask is
+    the AND of its labels' masks. A prefix that misses S_d is pruned; an
+    orbit that meets S_d in part (the test lincomp.spectrum makes) ends the
+    route.
     """
-    full = (1 << d) - 1
     k = math.prod(2 * l + 1 for _, l in factors)
     w, levels = k, []
     for p, l in factors:
-        q = p**l
-        # reversed, so that parsed in base 2 the label of x lands at bit x
-        labels = numtheory.prime_power_labels(p, l)[::-1]
-        tiles = []
-        for b in range(2 * l + 1):
-            if b:
-                # label b, of valuation v = (b - 1) // 2, repeats with period
-                # p^(v+1): its tile is one period, the last p^(v+1) entries
-                width = p ** ((b + 1) // 2)
-                tile = int(labels[q - width :].translate(b"0" * b + b"1" + b"0" * (255 - b)), 2)
-            else:
-                tile, width = 1, q
-            while width < d:
-                tile |= tile << width
-                width *= 2
-            tiles.append(tile & full)
+        tiles = [
+            numtheory.repeat_bits(tile, period, d) for tile, period in numtheory.label_tiles(p, l)
+        ]
         # w is the width of a row of the levels below. Bit a of row c of a
         # label's table is spread to bit a * w: the Kronecker product with a
         # w-bit row r, the xor of r << a * w, is then r times the spread row
@@ -163,7 +149,7 @@ def orbit_kernel(s: int, d: int, factors) -> int | None:
             for rows in numtheory.label_sum_parities(p, l)
         ]
         levels.append((tiles, tables, w))
-    rows = _orbit_rows(s, levels, 0, full)
+    rows = _orbit_rows(s, levels, 0, (1 << d) - 1)
     return None if rows is None else k - gf2poly.rank(rows)
 
 

@@ -21,8 +21,9 @@ from typing import NamedTuple
 
 from .errors import EvenOrRepeatedPrime, GcdConditionViolated, NotPrime, PeriodTooLarge
 
-# Periods are materialized as n bytes and n-entry tables, and the lemma
-# checks build classes by scanning Z_d, so n must stay far below memory.
+# A period is one n-bit int built from per-prime-power tiles of at most n
+# bits, the spectral route labels Z_n in an n-entry table, and the lemma
+# checks list the classes of Z_d, so n must stay far below memory.
 MAX_PERIOD = 1 << 24
 
 
@@ -266,6 +267,54 @@ def prime_power_labels(p: int, l: int) -> bytearray:
         labels[:: p**v] = chi.translate(pair) * p ** (l - 1 - v)
     labels[0] = 0
     return labels
+
+
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_SQUARE_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def label_tiles(p: int, l: int) -> list[tuple[int, int]]:
+    """One period of each label b of prime_power_labels(p, l) as a bit
+    tile: entry b is (tile, w), where bit x of the w-bit tile is set when x
+    carries label b, and whether x carries it depends only on x mod w.
+
+    - Label 0 (x = 0 mod p^l) is the one bit 0, w = p^l.
+    - The labels of valuation v, 1 + 2 v + c, are the x = p^v u with u a
+      square (c = 0) or nonsquare (c = 1) unit mod p, so w = p^(v+1). At
+      v = 0 the nonsquare tile is chi_p read as base-2 digits at C speed,
+      and the square tile is the other units. At v >= 1 the (p - 1)/2 bits
+      p^v u of each are set in a buffer of p^(v+1) / 8 bytes; p^2 <= p^l
+      lies below MAX_PERIOD, so that loop is short (p < 4096).
+
+    repeat_bits widens a tile to any number of bits.
+    """
+    chi = nonsquare_table(p)
+    nonsquares = int(chi.translate(_ASCII_BITS)[::-1], 2)
+    tiles = [(1, p**l), (nonsquares ^ ((1 << p) - 2), p), (nonsquares, p)]
+    if l > 1:
+        nonsquare_units = chi[1:]  # byte u - 1 is chi_p(u)
+        square_units = nonsquare_units.translate(_SQUARE_BITS)
+    for v in range(1, l):
+        step = p**v
+        for members in (square_units, nonsquare_units):
+            bits = bytearray(step * p // 8 + 1)
+            for u in itertools.compress(range(1, p), members):
+                x = step * u
+                bits[x >> 3] |= 1 << (x & 7)
+            tiles.append((int.from_bytes(bits, "little"), step * p))
+    return tiles
+
+
+def repeat_bits(x: int, w: int, width: int) -> int:
+    """The width-bit int whose bit y is bit y mod w of x, for x below 2^w
+    and width >= w: x doubled by shifts while that stays within width, then
+    topped up once (a last doubling past width would cost twice the ints)."""
+    while 2 * w <= width:
+        x |= x << w
+        w *= 2
+    if w < width:
+        x |= (x & ((1 << (width - w)) - 1)) << w
+    return x
 
 
 def label_sum_parities(p: int, l: int) -> list[list[int]]:

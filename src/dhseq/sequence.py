@@ -2,18 +2,17 @@
 
 A period is one Python int with bit i equal to s_i, plus its length n
 (zeros at the end of the period are high zero bits, which the int itself
-does not hold).
+does not hold). generate builds it from the per-prime-power label tiles of
+numtheory.label_tiles with int operations only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomy import VectorAssignment, class_pattern
+from .cyclotomy import VectorAssignment
 from .errors import PeriodTooLarge
-from .numtheory import MAX_PERIOD, Modulus, nonsquare_table
-
-_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+from .numtheory import MAX_PERIOD, Modulus, label_tiles, nonsquare_table, repeat_bits
 
 
 @dataclass(frozen=True)
@@ -54,27 +53,92 @@ def delta(n: int) -> int:
 def generate(modulus: Modulus, assignment: VectorAssignment) -> DHSequence:
     """Materialize one period.
 
-    Index 0 is always a one; every other index i belongs to exactly one
-    block (n/d)*Z_d*, and its bit is the class of the unit part of i there.
-    For odd p a unit is a square modulo p^e exactly when it is one modulo p,
-    so the class pattern of a whole block Z_d is the xor of the tables chi_p
-    of the primes of d that a_d selects, built at the period of those primes
-    and repeated up to d bytes (cyclotomy.class_pattern). Writing the blocks
-    at stride n/d in decreasing order of d leaves every index with the bit
-    of its own block, since a non-unit x of Z_d is rewritten by the smaller
-    block d/gcd(x, d). The buffer holds the period in reverse, byte n-1-i
-    for s_i, so its ASCII digits read as one base-2 int with no reversed
-    copy.
+    Index 0 is a one. Any other index i lies in the block of d = n/gcd(i, n),
+    and its bit is the class of the unit u = i/(n/d) in Z_d*: the xor, over
+    the primes p_j that a_d selects, of chi_{p_j}(u). With v_j = v_{p_j}(i),
+    u and i/p_j^v_j differ by the unit (n/d)/p_j^v_j mod p_j, so chi_{p_j}(u)
+    is chi_{p_j}(i/p_j^v_j) flipped when f_j = chi_{p_j}((n/d)/p_j^v_j) is 1.
+    So the bit of i depends only on the label of i mod p_j^e_j in
+    numtheory.prime_power_labels, for every j: the valuations fix d, and
+    the chi bits fix the class. By CRT the period is the OR, over the label
+    tuples whose bit is 1, of the AND of their tiles (numtheory.label_tiles).
+
+    _trie_bits sums that OR over a trie of the primes, the largest at the
+    root, so that only the root works at n bits.
     """
+    factors = modulus.factors
     n = modulus.n
-    chi = {p: nonsquare_table(p) for p, _ in modulus.factors}
-    buf = bytearray(n)
-    for d in sorted(modulus.divisors_gt1(), reverse=True):
-        facs = modulus.divisor_factorization(d)
-        tables = [chi[p] for (p, _), a in zip(facs, assignment.vector_for(d)) if a]
-        buf[n - 1 :: -(n // d)] = class_pattern(d, tables)
-    buf[n - 1] = 1
-    return DHSequence(modulus, assignment, int(buf.translate(_ASCII_BITS), 2))
+    chi = [nonsquare_table(p) for p, _ in factors]
+    # every d | n with its exponents (l_j), in the order of a product over
+    # the l_j with the last prime's fastest: block k has k = the sum of
+    # l_j * stride_j, stride_j the product of e_i + 1 over the primes after p_j
+    blocks = [(1, ())]
+    for p, e in factors:
+        blocks = [(d * p**l, ls + (l,)) for d, ls in blocks for l in range(e + 1)]
+    # rule[k] = (sel, flip) for block k: bit j of sel is the coordinate of
+    # a_d at p_j, and flip is the xor of the selected f_j. Block 0 (d = 1)
+    # is index 0 alone, whose bit is 1.
+    rule = [(0, 1)]
+    for d, ls in blocks[1:]:
+        bits = iter(assignment.vector_for(d))
+        sel = flip = 0
+        for j, l in enumerate(ls):
+            if l and next(bits):
+                p, e = factors[j]
+                sel |= 1 << j
+                flip ^= chi[j][n // d // p ** (e - l) % p]
+        rule.append((sel, flip))
+    # per prime p_j: the width below it (the product of the smaller prime
+    # powers) and, by increasing valuation v, the width below * p_j^(v+1)
+    # at which the labels of valuation v join the sum (label 0 with the
+    # last), each label with its rule offset, chi bit and tile at that width
+    levels, below, stride = [], 1, len(blocks)
+    for j, (p, e) in enumerate(factors):
+        stride //= e + 1
+        tiles = label_tiles(p, e)
+        steps, width = [], below
+        for v in range(e):
+            width *= p
+            labels = [
+                ((e - v) * stride, c << j, repeat_bits(*tiles[2 * v + 1 + c], width))
+                for c in (0, 1)
+            ]
+            steps.append((width, labels))
+        steps[-1][1].append((0, 0, repeat_bits(*tiles[0], width)))
+        levels.append((below, steps))
+        below = width
+    packed = _trie_bits(levels, rule, len(factors) - 1, 0, 0)
+    return DHSequence(modulus, assignment, packed)
+
+
+def _trie_bits(levels, rule, j: int, k: int, chis: int) -> int:
+    """The bits over Z_W, W = p_0^e_0 ... p_j^e_j, of the period with the
+    labels of p_(j+1), ... fixed: k is the rule offset of their exponents,
+    and chis holds their chi bits.
+
+    Each label of p_j adds its child (the bits over the width below with its
+    label fixed too, or at j = 0 the rule's bit) repeated and ANDed with its
+    tile. The tile of a label of valuation v repeats with period p_j^(v+1),
+    so the labels join by increasing valuation: the sum so far is widened
+    from below * p_j^v to below * p_j^(v+1) bits first, and only the last
+    valuation and label 0 work at the full W.
+    """
+    below, steps = levels[j]
+    acc, w = 0, below
+    for width, labels in steps:
+        if acc:
+            acc = repeat_bits(acc, w, width)
+        w = width
+        for offset, c, tile in labels:
+            if j:
+                child = _trie_bits(levels, rule, j - 1, k + offset, chis | c)
+                if child:
+                    acc |= repeat_bits(child, below, width) & tile
+            else:
+                sel, flip = rule[k + offset]
+                if flip ^ (((chis | c) & sel).bit_count() & 1):
+                    acc |= tile
+    return acc
 
 
 def sequence_line(seq) -> str:

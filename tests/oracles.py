@@ -1,7 +1,9 @@
 """Slow, independent reference forms of what the package computes fast.
 
 These are the per-index and per-bit routes the package used before a period
-became one packed int, the classes built from powers of a primitive root
+became one packed int, the n-byte buffer and d-byte class patterns that
+generate and generalized_classes built before they read the per-prime-power
+label tiles, the classes built from powers of a primitive root
 (the package decides every class from the chi_p tables instead), the per-v
 spectral sweeps the checks used before they shared the orbit-reduced
 engine, that engine's per-representative sums from before it read the
@@ -26,6 +28,7 @@ small helpers only tests need; tests compare the fast routes against them.
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -87,6 +90,61 @@ def generate_by_index(modulus, assignment) -> int:
         d = n // g
         bits[i] = class_index(i // g, facs[d], vecs[d])
     return int("".join(map(str, reversed(bits))), 2)
+
+
+def class_pattern(d: int, tables) -> bytes:
+    """The class pattern of Z_d as d bytes: byte x is the xor of
+    table[x mod len(table)] over the given tables, whose lengths are
+    pairwise coprime with a product w dividing d, built at period w one
+    table at a time and then repeated d/w times."""
+    pattern, w = b"\0", 1
+    for table in tables:
+        p = len(table)
+        pattern = (
+            int.from_bytes(pattern * p, "little") ^ int.from_bytes(table * w, "little")
+        ).to_bytes(w * p, "little")
+        w *= p
+    return pattern * (d // w)
+
+
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def generate_by_buffer(modulus, assignment) -> int:
+    """The packed period built in an n-byte buffer: each block's class
+    pattern (the xor of the chi_p tables of the primes a_d selects) written
+    at stride n/d in decreasing order of d, so every index keeps the bit of
+    its own block, the buffer holding s_i at byte n-1-i so that its ASCII
+    digits read as one base-2 int."""
+    n = modulus.n
+    buf = bytearray(n)
+    for d in sorted(modulus.divisors_gt1(), reverse=True):
+        facs = modulus.divisor_factorization(d)
+        tables = [
+            numtheory.nonsquare_table(p) for (p, _), a in zip(facs, assignment.vector_for(d)) if a
+        ]
+        buf[n - 1 :: -(n // d)] = class_pattern(d, tables)
+    buf[n - 1] = 1
+    return int(buf.translate(_ASCII_BITS), 2)
+
+
+def generalized_classes_by_pattern(factors, a_d) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both classes (d0, d1) of Z_d*, ascending, split from the d-byte
+    class_pattern of the chi_p tables a_d selects, masked by the units (a
+    byte per residue, 1 when no prime of d divides it)."""
+    factors, a_d = tuple(factors), tuple(a_d)
+    d = math.prod(p**e for p, e in factors)
+    tables = [numtheory.nonsquare_table(p) for (p, _), a in zip(factors, a_d) if a]
+    pattern = int.from_bytes(class_pattern(d, tables), "little")
+    units = functools.reduce(
+        operator.and_,
+        (int.from_bytes((b"\0" + b"\1" * (p - 1)) * (d // p), "little") for p, _ in factors),
+    )
+    d1 = pattern & units
+    return (
+        tuple(itertools.compress(range(d), (units ^ d1).to_bytes(d, "little"))),
+        tuple(itertools.compress(range(d), d1.to_bytes(d, "little"))),
+    )
 
 
 # --- primality ---------------------------------------------------------------

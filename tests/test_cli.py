@@ -349,6 +349,28 @@ def test_survey_past_the_period_bound_exits_2_before_enumerating(
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("max_n", ["-1", "-5"])
+def test_survey_negative_max_n_exits_2(max_n, capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(
+        capsys, "survey", "--max-n", max_n, "--mode", "default-all", "--out", str(out)
+    )
+    assert code == 2
+    assert err == f"error: --max-n {max_n} is negative\n"
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("max_n", ["0", "1", "2"])
+def test_survey_below_three_writes_zero_rows(max_n, capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, stdout, _ = run(
+        capsys, "survey", "--max-n", max_n, "--mode", "default-all", "--out", str(out)
+    )
+    assert code == 0
+    assert stdout == f"wrote 0 rows to {out}\n"
+    assert out.read_text().count("\n") == 1
+
+
 def test_parse_factors():
     assert cli.parse_factors("3:1,7:2") == [(3, 1), (7, 2)]
     assert cli.parse_factors("3,7") == [(3, 1), (7, 1)]

@@ -14,6 +14,7 @@ from oracles import (
     NotPrimitiveRoot,
     class_index,
     classes_by_root,
+    generalized_classes_by_pattern,
     global_partition,
     index_sets,
     prime_power_classes,
@@ -131,8 +132,9 @@ def test_generalized_classes_d21_all_ones_vector():
 
 
 def test_generalized_classes_match_root_oracle_for_every_divisor_to_2000():
-    # every (divisor, nonzero vector) of every valid n <= 2000; a divisor
-    # shared by several n is checked once
+    # every (divisor, nonzero vector) of every valid n <= 2000, against the
+    # primitive-root classes and the d-byte pattern split; a divisor shared
+    # by several n is checked once
     cases = set()
     for m in valid_moduli(2000):
         for d in m.divisors_gt1():
@@ -141,7 +143,8 @@ def test_generalized_classes_match_root_oracle_for_every_divisor_to_2000():
     assert len(cases) == 1788
     for facs, a in sorted(cases):
         pair = classes_by_root(facs, a)
-        assert generalized_classes(facs, a) == (pair.d0, pair.d1), (facs, a)
+        classes = generalized_classes(facs, a)
+        assert classes == (pair.d0, pair.d1) == generalized_classes_by_pattern(facs, a), (facs, a)
 
 
 def test_generalized_classes_match_prime_power_classes_below_5000():

@@ -368,3 +368,43 @@ def test_enumerated_moduli_are_freed_without_a_full_collection():
         gc.set_debug(flags)
         gc.garbage.clear()
     assert cyclic == []
+
+
+def _odd_prime_powers(bound):
+    for p in filter(is_prime, range(3, bound, 2)):
+        l = 1
+        while p**l < bound:
+            yield p, l
+            l += 1
+
+
+def test_label_tiles_partition_every_odd_prime_power_below_10000():
+    checked = 0
+    for p, l in _odd_prime_powers(10_000):
+        q = p**l
+        labels = bytes(numtheory.prime_power_labels(p, l))
+        tiles = numtheory.label_tiles(p, l)
+        assert len(tiles) == 2 * l + 1
+        for tile, w in tiles:
+            assert q % w == 0 and 0 < tile < 1 << w, (p, l, w)
+        for width in (q, 3 * q, 8 * q):
+            # reversed, so that parsed in base 2 the label of x lands at bit x
+            row = (labels * (width // q))[::-1]
+            union = 0
+            for b, (tile, w) in enumerate(tiles):
+                tile = numtheory.repeat_bits(tile, w, width)
+                picks = b"0" * b + b"1" + b"0" * (255 - b)
+                assert tile == int(row.translate(picks), 2), (p, l, b, width)
+                assert not union & tile, (p, l, b, width)
+                union |= tile
+            assert union == (1 << width) - 1, (p, l, width)
+        checked += 1
+    assert checked == 1267
+
+
+@given(st.integers(0, 2**40), st.integers(1, 40), st.integers(0, 300))
+def test_repeat_bits_reads_bit_y_mod_w(x, w, extra):
+    x &= (1 << w) - 1
+    width = w + extra
+    want = sum(1 << y for y in range(width) if x >> (y % w) & 1)
+    assert numtheory.repeat_bits(x, w, width) == want

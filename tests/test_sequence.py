@@ -16,7 +16,14 @@ from dhseq.sequence import (
 )
 
 from conftest import valid_moduli
-from oracles import from_bits, generate_by_index, global_partition, one_positions, to_bits
+from oracles import (
+    from_bits,
+    generate_by_buffer,
+    generate_by_index,
+    global_partition,
+    one_positions,
+    to_bits,
+)
 
 
 def test_generate_n3():
@@ -177,6 +184,29 @@ def test_generate_matches_index_oracle_large(factors, make):
     m = validate_modulus(factors)
     a = make(m)
     assert generate(m, a).packed == generate_by_index(m, a)
+
+
+# beyond generate_by_index: labels of valuation up to 12 (3^13) and 5 (7^6),
+# a Wieferich square, a squared prime under a large one, n near 10^6 and
+# t = 6, where the trie has 729 leaves
+@pytest.mark.parametrize(
+    "make", [VectorAssignment.default, VectorAssignment.all_ones_top, _random_odd_sum]
+)
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [(3, 13)],
+        [(7, 6)],
+        [(1093, 2)],
+        [(3, 2), (12899, 1)],
+        [(1019, 1), (1031, 1)],
+        [(3, 1), (5, 1), (7, 1), (11, 1), (23, 1), (47, 1)],
+    ],
+)
+def test_generate_matches_buffer_oracle_large(factors, make):
+    m = validate_modulus(factors)
+    a = make(m)
+    assert generate(m, a).packed == generate_by_buffer(m, a)
 
 
 @pytest.mark.parametrize("line", ["01100", "0", "1", "000", "1000", "0001", "10110"])
