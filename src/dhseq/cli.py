@@ -27,19 +27,22 @@ DEFAULT_SURVEY_CAP = 2000
 
 
 def parse_factors(text: str) -> list[tuple[int, int]]:
-    """Parse 'p:e,p:e,...' (':e' may be omitted for exponent 1)."""
+    """Parse 'p:e,p:e,...' (':e' may be omitted for exponent 1).
+
+    Each side must be ASCII decimal digits once its surrounding spaces are
+    stripped, so the signs, underscores and non-ASCII digits that int()
+    would accept are refused.
+    """
     out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             raise DHSeqError(f"empty entry in factor list {text!r}")
         head, _, tail = part.partition(":")
-        try:
-            p = int(head)
-            e = int(tail) if tail else 1
-        except ValueError:
-            raise DHSeqError(f"bad factor entry {part!r}; expected p:e") from None
-        out.append((p, e))
+        head, tail = head.strip(), tail.strip() or "1"
+        if not all(side.isascii() and side.isdigit() for side in (head, tail)):
+            raise DHSeqError(f"bad factor entry {part!r}; expected p:e in decimal digits")
+        out.append((int(head), int(tail)))
     return out
 
 

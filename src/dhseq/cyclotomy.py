@@ -83,7 +83,10 @@ class VectorAssignment:
     @classmethod
     def parse_spec(cls, modulus: Modulus, text: str) -> "VectorAssignment":
         """Parse 'd:bits' lines; divisors not mentioned keep the default, and
-        none may be listed twice."""
+        none may be listed twice. Spaces around either side are stripped;
+        the divisor must then be ASCII decimal digits, so the signs,
+        underscores and non-ASCII digits that int() would accept are
+        refused."""
         overrides = {}
         for raw in text.splitlines():
             line = raw.strip()
@@ -92,10 +95,10 @@ class VectorAssignment:
             head, sep, bits = line.partition(":")
             if not sep:
                 raise AssignmentFormatError(line, "expected d:bits")
-            try:
-                d = int(head)
-            except ValueError:
-                raise AssignmentFormatError(line, "divisor is not an integer") from None
+            head, bits = head.strip(), bits.strip()
+            if not (head.isascii() and head.isdigit()):
+                raise AssignmentFormatError(line, "divisor is not a decimal integer")
+            d = int(head)
             if d in overrides:
                 raise AssignmentFormatError(line, f"divisor {d} is listed twice")
             if set(bits) - {"0", "1"} or not bits:

@@ -189,8 +189,8 @@ class Spectrum:
     from the field's orbit sums; otherwise every v is its own orbit and is
     evaluated by BinaryField.subset_eval. Either way reps[k] is the least
     member of orbit k, ascending, values[k] = S(alpha^reps[k]), and
-    labels[v] is the orbit of v. (A plain class: a frozen record class here
-    would cost a millisecond of import time.)
+    labels[v] is the orbit of v. (A plain class, not a NamedTuple like the
+    other records: as a tuple, its spec[v] would shadow field indexing.)
     """
 
     __slots__ = ("reduced", "reps", "values", "labels")

@@ -16,7 +16,6 @@ import math
 import sys
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import EvenOrRepeatedPrime, GcdConditionViolated, NotPrime, PeriodTooLarge
@@ -68,8 +67,7 @@ def divisors(factors) -> list[int]:
     return sorted(divs)
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(NamedTuple):
     """A validated period n = p1^e1 * ... * pt^et; build via validate_modulus."""
 
     factors: tuple[tuple[int, int], ...]

@@ -8,15 +8,14 @@ numtheory.label_tiles with int operations only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclotomy import VectorAssignment
 from .errors import PeriodTooLarge
 from .numtheory import MAX_PERIOD, Modulus, label_tiles, nonsquare_table, repeat_bits
 
 
-@dataclass(frozen=True)
-class DHSequence:
+class DHSequence(NamedTuple):
     """One period of the two-class binary sequence (bit i is 1 iff i in C1)."""
 
     modulus: Modulus
@@ -32,16 +31,22 @@ class DHSequence:
         return self.packed.bit_count()
 
 
-@dataclass(frozen=True)
-class RawPeriod:
-    """A bare period of n bits with no construction metadata."""
-
+# a NamedTuple class body may not define __new__, so RawPeriod checks its
+# fields in a subclass
+class _PeriodFields(NamedTuple):
     packed: int
     n: int
 
-    def __post_init__(self):
-        if self.n < 1 or self.packed < 0 or self.packed >> self.n:
-            raise ValueError(f"packed period does not fit in {self.n} bits")
+
+class RawPeriod(_PeriodFields):
+    """A bare period of n bits with no construction metadata."""
+
+    __slots__ = ()
+
+    def __new__(cls, packed: int, n: int):
+        if n < 1 or packed < 0 or packed >> n:
+            raise ValueError(f"packed period does not fit in {n} bits")
+        return super().__new__(cls, packed, n)
 
 
 def delta(n: int) -> int:

@@ -9,7 +9,7 @@ None restricts them to whatever can be decided without one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cyclotomy, gf2poly, lincomp, numtheory, sequence
 from .cyclotomy import VectorAssignment
@@ -25,8 +25,7 @@ def _has_even_vector(modulus: Modulus, assignment: VectorAssignment) -> bool:
     return any(sum(assignment.vector_for(d)) % 2 == 0 for d in modulus.divisors_gt1())
 
 
-@dataclass(frozen=True)
-class CheckVerdict:
+class CheckVerdict(NamedTuple):
     name: str
     applicable: bool
     holds: bool | None

@@ -4,6 +4,7 @@ import pytest
 
 from dhseq import cli
 from dhseq.cli import main
+from dhseq.errors import DHSeqError
 
 
 def run(capsys, *argv):
@@ -376,6 +377,38 @@ def test_parse_factors():
     assert cli.parse_factors("3,7") == [(3, 1), (7, 1)]
     with pytest.raises(Exception):
         cli.parse_factors("3:1,,7:1")
+    # spaces around either side and leading zeros stay valid
+    assert cli.parse_factors(" 3 : 1 , 07 :02") == [(3, 1), (7, 2)]
+
+
+# int() accepts the signs, the underscore and non-ASCII digits, so the
+# decimal check must refuse them first; str.isdigit() alone passes "\u00b2"
+@pytest.mark.parametrize(
+    "text", ["1_1:1", "\u0661\u0661:1", "3:+1", "+3:1", "3:-1", "3:1_0", "3:\u00b2", "\uff13:1", ":1"]
+)
+def test_parse_factors_rejects_junk(text, capsys):
+    with pytest.raises(DHSeqError, match="bad factor entry"):
+        cli.parse_factors(text)
+    code, out, err = run(capsys, "generate", "--factors", text)
+    assert code == 2 and out == ""
+    assert "bad factor entry" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec", ["2_1:11", "\u0662\u0661:11", "+21:11", "-21:11", "2 1:11", "\uff12\uff11:11"]
+)
+def test_assignment_divisor_rejects_junk(spec, capsys):
+    code, out, err = run(
+        capsys, "verify", "--check", "lemma1", "--factors", "3:1,7:1", f"--assignment={spec}"
+    )
+    assert code == 2 and out == ""
+    assert f"bad assignment line {spec!r}: divisor is not a decimal integer" in err
+
+
+@pytest.mark.parametrize("spec", ["021:11", " 21 : 11 "])
+def test_assignment_divisor_keeps_spaces_and_leading_zeros(spec, capsys):
+    args = ("verify", "--check", "lemma1", "--factors", "3:1,7:1", "--assignment")
+    assert run(capsys, *args, spec) == run(capsys, *args, "21:11")
 
 
 @pytest.mark.parametrize("period, want", [("1", 1), ("0", 0)])
