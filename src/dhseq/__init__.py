@@ -13,7 +13,7 @@ from .numtheory import (
     primitive_root,
     validate_modulus,
 )
-from .sequence import DHSequence, RawPeriod, delta, generate
+from .sequence import Period, delta, generate
 from .theorems import (
     CheckVerdict,
     check_corollary,
@@ -31,9 +31,8 @@ __all__ = [
     "BinaryField",
     "CheckVerdict",
     "DHSeqError",
-    "DHSequence",
     "Modulus",
-    "RawPeriod",
+    "Period",
     "VectorAssignment",
     "berlekamp_massey",
     "build_field",

@@ -27,7 +27,8 @@ DEFAULT_SURVEY_CAP = 2000
 
 
 def parse_factors(text: str) -> list[tuple[int, int]]:
-    """Parse 'p:e,p:e,...' (':e' may be omitted for exponent 1).
+    """Parse 'p:e,p:e,...' (the whole ':e' may be omitted for exponent 1,
+    but a ':' with nothing after it is refused).
 
     Each side must be ASCII decimal digits once its surrounding spaces are
     stripped, so the signs, underscores and non-ASCII digits that int()
@@ -38,8 +39,8 @@ def parse_factors(text: str) -> list[tuple[int, int]]:
         part = part.strip()
         if not part:
             raise DHSeqError(f"empty entry in factor list {text!r}")
-        head, _, tail = part.partition(":")
-        head, tail = head.strip(), tail.strip() or "1"
+        head, colon, tail = part.partition(":")
+        head, tail = head.strip(), tail.strip() if colon else "1"
         if not all(side.isascii() and side.isdigit() for side in (head, tail)):
             raise DHSeqError(f"bad factor entry {part!r}; expected p:e in decimal digits")
         out.append((int(head), int(tail)))
@@ -86,7 +87,7 @@ def cmd_generate(args) -> int:
     else:
         sys.stdout.write(line)
     if args.meta:
-        Path(args.meta).write_text(sequence.metadata_block(seq))
+        Path(args.meta).write_text(sequence.metadata_block(modulus, assignment, seq))
     return EXIT_OK
 
 

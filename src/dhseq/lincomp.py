@@ -1,8 +1,9 @@
 """Linear complexity of a period by three independent methods, and the
 spectral engine that the spectral method and the lemma checks share.
 
-Any object with .packed (bit i is s_i) and .n works as input, so raw
-periods read from disk get the same treatment as constructed sequences.
+Every method takes a sequence.Period (bit i of .packed is s_i, length .n),
+the one record that generate and parse_bit_line both return, so a period
+read from disk gets the same treatment as a generated one.
 """
 
 from __future__ import annotations

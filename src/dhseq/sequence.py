@@ -1,9 +1,11 @@
 """Binary sequence materialization and its on-disk format.
 
-A period is one Python int with bit i equal to s_i, plus its length n
-(zeros at the end of the period are high zero bits, which the int itself
-does not hold). generate builds it from the per-prime-power label tiles of
-numtheory.label_tiles with int operations only.
+A period is one record, Period(packed, n): bit i of the int packed is s_i,
+and n is the length (zeros at the end of the period are high zero bits,
+which the int itself does not hold). generate and parse_bit_line both
+return one, so equal bits compare equal. generate builds it from the
+per-prime-power label tiles of numtheory.label_tiles with int operations
+only.
 """
 
 from __future__ import annotations
@@ -15,31 +17,16 @@ from .errors import PeriodTooLarge
 from .numtheory import MAX_PERIOD, Modulus, label_tiles, nonsquare_table, repeat_bits
 
 
-class DHSequence(NamedTuple):
-    """One period of the two-class binary sequence (bit i is 1 iff i in C1)."""
-
-    modulus: Modulus
-    assignment: VectorAssignment
-    packed: int
-
-    @property
-    def n(self) -> int:
-        return self.modulus.n
-
-    @property
-    def weight(self) -> int:
-        return self.packed.bit_count()
-
-
-# a NamedTuple class body may not define __new__, so RawPeriod checks its
-# fields in a subclass
+# a NamedTuple class body may not define __new__, so Period checks its
+# fields in a subclass; equality and hashing stay those of (packed, n)
 class _PeriodFields(NamedTuple):
     packed: int
     n: int
 
 
-class RawPeriod(_PeriodFields):
-    """A bare period of n bits with no construction metadata."""
+class Period(_PeriodFields):
+    """One period of n bits, generated or read back from a sequence file;
+    it holds no modulus or assignment, so equal bits compare equal."""
 
     __slots__ = ()
 
@@ -48,6 +35,10 @@ class RawPeriod(_PeriodFields):
             raise ValueError(f"packed period does not fit in {n} bits")
         return super().__new__(cls, packed, n)
 
+    @property
+    def weight(self) -> int:
+        return self.packed.bit_count()
+
 
 def delta(n: int) -> int:
     """1 when n = 3 (mod 4), else 0 (equivalently: the full-period sum
@@ -55,7 +46,7 @@ def delta(n: int) -> int:
     return 1 if n % 4 == 3 else 0
 
 
-def generate(modulus: Modulus, assignment: VectorAssignment) -> DHSequence:
+def generate(modulus: Modulus, assignment: VectorAssignment) -> Period:
     """Materialize one period.
 
     Index 0 is a one. Any other index i lies in the block of d = n/gcd(i, n),
@@ -113,7 +104,7 @@ def generate(modulus: Modulus, assignment: VectorAssignment) -> DHSequence:
         levels.append((below, steps))
         below = width
     packed = _trie_bits(levels, rule, len(factors) - 1, 0, 0)
-    return DHSequence(modulus, assignment, packed)
+    return Period(packed, n)
 
 
 def _trie_bits(levels, rule, j: int, k: int, chis: int) -> int:
@@ -146,23 +137,23 @@ def _trie_bits(levels, rule, j: int, k: int, chis: int) -> int:
     return acc
 
 
-def sequence_line(seq) -> str:
+def sequence_line(seq: Period) -> str:
     """The sequence file payload: one ASCII line of 0/1 characters, s_0 first."""
     return format(seq.packed, f"0{seq.n}b")[::-1] + "\n"
 
 
-def metadata_block(seq: DHSequence) -> str:
-    """Sidecar key=value block describing a generated sequence."""
+def metadata_block(modulus: Modulus, assignment: VectorAssignment, period: Period) -> str:
+    """Sidecar key=value block: the period's provenance and weight."""
     lines = [
-        f"n={seq.n}",
-        f"factors={','.join(f'{p}:{e}' for p, e in seq.modulus.factors)}",
-        f"assignment={seq.assignment.spec_string()}",
-        f"weight={seq.weight}",
+        f"n={period.n}",
+        f"factors={','.join(f'{p}:{e}' for p, e in modulus.factors)}",
+        f"assignment={assignment.spec_string()}",
+        f"weight={period.weight}",
     ]
     return "\n".join(lines) + "\n"
 
 
-def parse_bit_line(text: str) -> RawPeriod:
+def parse_bit_line(text: str) -> Period:
     """Read a sequence file payload back into a packed period.
 
     After surrounding whitespace is stripped, the line must be nonempty
@@ -175,4 +166,4 @@ def parse_bit_line(text: str) -> RawPeriod:
         raise PeriodTooLarge(f"of {len(line)} bits", MAX_PERIOD)
     if not line or not line.isascii() or line.encode("ascii").translate(None, b"01"):
         raise ValueError("sequence file must be a single line of 0/1 characters")
-    return RawPeriod(int(line[::-1], 2), len(line))
+    return Period(int(line[::-1], 2), len(line))

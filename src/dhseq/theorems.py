@@ -16,7 +16,7 @@ from .cyclotomy import VectorAssignment
 from .errors import OutsideCaseTable
 from .gf2poly import BinaryField
 from .numtheory import Modulus
-from .sequence import DHSequence, delta
+from .sequence import Period, delta
 
 _EVEN_SUM = "a divisor vector has even coordinate sum"
 
@@ -109,7 +109,7 @@ def check_lemma2(
     return CheckVerdict(name, True, True)
 
 
-def _measure(modulus: Modulus, assignment: VectorAssignment) -> tuple[DHSequence, int]:
+def _measure(modulus: Modulus, assignment: VectorAssignment) -> tuple[Period, int]:
     """The generated period and its complexity by the gcd route."""
     seq = sequence.generate(modulus, assignment)
     return seq, lincomp.lincomp_gcd(seq)

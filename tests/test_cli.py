@@ -382,9 +382,12 @@ def test_parse_factors():
 
 
 # int() accepts the signs, the underscore and non-ASCII digits, so the
-# decimal check must refuse them first; str.isdigit() alone passes "\u00b2"
+# decimal check must refuse them first; str.isdigit() alone passes "\u00b2";
+# a ':' with no exponent after it is no shorthand for ':1'
 @pytest.mark.parametrize(
-    "text", ["1_1:1", "\u0661\u0661:1", "3:+1", "+3:1", "3:-1", "3:1_0", "3:\u00b2", "\uff13:1", ":1"]
+    "text",
+    ["1_1:1", "\u0661\u0661:1", "3:+1", "+3:1", "3:-1", "3:1_0", "3:\u00b2", "\uff13:1", ":1",
+     "3:", "3: ", "3:,7:1"],
 )
 def test_parse_factors_rejects_junk(text, capsys):
     with pytest.raises(DHSeqError, match="bad factor entry"):

@@ -24,7 +24,7 @@ from dhseq.numtheory import (
     label_sum_parities,
     validate_modulus,
 )
-from dhseq.sequence import RawPeriod, delta, generate
+from dhseq.sequence import Period, delta, generate
 
 from conftest import valid_moduli
 from oracles import (
@@ -51,7 +51,7 @@ def phi(d):
 
 
 def assert_matches_euclid(packed, n):
-    seq = RawPeriod(packed, n)
+    seq = Period(packed, n)
     assert lincomp_gcd(seq) == lincomp_gcd_euclid(seq), (n, packed)
 
 
@@ -77,8 +77,8 @@ def test_random_odd_periods_match_euclid(data):
 
 def test_all_zero_and_all_one_periods():
     for n in range(1, 600, 2):
-        assert lincomp_gcd(RawPeriod(0, n)) == n - n == 0
-        assert lincomp_gcd(RawPeriod((1 << n) - 1, n)) == n - (n - 1) == 1
+        assert lincomp_gcd(Period(0, n)) == n - n == 0
+        assert lincomp_gcd(Period((1 << n) - 1, n)) == n - (n - 1) == 1
         assert_matches_euclid(0, n)
         assert_matches_euclid((1 << n) - 1, n)
 
@@ -124,7 +124,7 @@ def test_prime_powers_match_euclid_and_skip_euclid_when_irreducible(n, monkeypat
         for d, count in counts.items():
             phi_d = cyclotomic_by_division(d)
             assert count == gf2poly.degree(real_gcd(divmod_(packed, phi_d)[1], phi_d))
-        seq = RawPeriod(packed, n)
+        seq = Period(packed, n)
         assert lincomp_gcd(seq) == lincomp_gcd_euclid(seq)
 
 
@@ -167,7 +167,7 @@ def test_block_count_guard_exits_3(monkeypatch, capsys):
 def test_even_raw_periods_take_euclid_and_match_bm(tmp_path, capsys, bits):
     f = tmp_path / "even.txt"
     f.write_text(bits + "\n")
-    seq = RawPeriod(int(bits[::-1], 2), len(bits))
+    seq = Period(int(bits[::-1], 2), len(bits))
     want = lincomp_bm(seq)
     assert lincomp_gcd(seq) == lincomp_gcd_euclid(seq)
     assert main(["lincomp", "--sequence", str(f), "--method", "gcd"]) == 0
@@ -230,7 +230,7 @@ def test_orbit_unions_match_euclid(data):
     chosen = data.draw(st.integers(min_value=0, max_value=(1 << len(orbits.reps)) - 1))
     packed = sum(1 << v for v, k in enumerate(orbits.labels) if chosen >> k & 1)
     assert_kernels_match_euclid(packed, n)
-    assert lincomp_gcd(RawPeriod(packed, n)) == lincomp_gcd_euclid(RawPeriod(packed, n))
+    assert lincomp_gcd(Period(packed, n)) == lincomp_gcd_euclid(Period(packed, n))
 
 
 def spy(monkeypatch, module, name):

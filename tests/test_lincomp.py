@@ -7,7 +7,7 @@ from dhseq.lincomp import (
     spectral_values,
 )
 from dhseq.numtheory import order_of_two, validate_modulus
-from dhseq.sequence import RawPeriod, delta, generate
+from dhseq.sequence import Period, delta, generate
 
 from conftest import valid_moduli
 from oracles import alpha_power, eval_poly, from_bits, global_partition
@@ -40,14 +40,14 @@ def test_lincomp_bm_known_values():
     assert lincomp_bm(s21) == 6
     s33 = seq_for([(3, 1), (11, 1)], VectorAssignment.all_ones_top)
     assert lincomp_bm(s33) == 13
-    assert lincomp_bm(RawPeriod(from_bits((1,) * 9), 9)) == 1
+    assert lincomp_bm(Period(from_bits((1,) * 9), 9)) == 1
 
 
 def test_lincomp_gcd_known_values():
     s21 = seq_for([(3, 1), (7, 1)], VectorAssignment.all_ones_top)
     assert lincomp_gcd(s21) == 21 - 15 == 6
     # all-ones period: S(x) = (x^n + 1)/(x + 1) divides x^n + 1
-    assert lincomp_gcd(RawPeriod(from_bits((1,) * 9), 9)) == 9 - 8 == 1
+    assert lincomp_gcd(Period(from_bits((1,) * 9), 9)) == 9 - 8 == 1
 
 
 def test_lincomp_spectral_n3():

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from dhseq import CheckVerdict, RawPeriod, VectorAssignment, check_lemma4, generate
+from dhseq import CheckVerdict, VectorAssignment, check_lemma4, generate
 from dhseq.numtheory import validate_modulus
+from dhseq.sequence import parse_bit_line
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -35,13 +36,13 @@ def _records():
     return [
         (m, "n"),
         (generate(m, VectorAssignment.default(m)), "packed"),
-        (RawPeriod(0b101, 3), "n"),
+        (parse_bit_line("101\n"), "n"),
         (CheckVerdict("lemma4", True, True), "holds"),
     ]
 
 
 @pytest.mark.parametrize(
-    "record, field", _records(), ids=["Modulus", "DHSequence", "RawPeriod", "CheckVerdict"]
+    "record, field", _records(), ids=["Modulus", "generated-Period", "parsed-Period", "CheckVerdict"]
 )
 def test_records_refuse_assignment(record, field):
     with pytest.raises(AttributeError):

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dhseq.cyclotomy import VectorAssignment
 from dhseq.numtheory import validate_modulus
 from dhseq.sequence import (
-    DHSequence,
-    RawPeriod,
+    Period,
     delta,
     generate,
     metadata_block,
@@ -87,13 +86,28 @@ def test_sequence_file_round_trip():
     seq = generate(m, VectorAssignment.default(m))
     line = sequence_line(seq)
     assert line.endswith("\n") and len(line) == 22
-    assert parse_bit_line(line) == RawPeriod(seq.packed, seq.n)
+    assert parse_bit_line(line) == Period(seq.packed, seq.n)
+
+
+def test_generated_periods_with_equal_inputs_are_equal():
+    m = validate_modulus([(3, 1), (7, 1)])
+    a = generate(m, VectorAssignment.default(m))
+    b = generate(m, VectorAssignment.default(m))
+    assert a == b and hash(a) == hash(b)
+
+
+def test_period_read_back_equals_the_one_written():
+    m = validate_modulus([(3, 2), (5, 1), (11, 1)])
+    seq = generate(m, VectorAssignment.all_ones_top(m))
+    back = parse_bit_line(sequence_line(seq))
+    assert back == seq
+    assert type(back) is type(seq) is Period
 
 
 def test_metadata_block():
     m = validate_modulus([(3, 1), (7, 1)])
-    seq = generate(m, VectorAssignment.default(m))
-    meta = metadata_block(seq)
+    a = VectorAssignment.default(m)
+    meta = metadata_block(m, a, generate(m, a))
     assert "n=21" in meta
     assert "factors=3:1,7:1" in meta
     assert "assignment=3:1;7:1;21:01" in meta
@@ -111,7 +125,7 @@ def test_parse_bit_line_rejects_junk(line):
 
 
 def test_parse_bit_line_strips_crlf():
-    assert parse_bit_line("0110\r\n") == RawPeriod(0b0110, 4)
+    assert parse_bit_line("0110\r\n") == Period(0b0110, 4)
 
 
 def test_parse_bit_line_period_bound():
@@ -119,7 +133,7 @@ def test_parse_bit_line_period_bound():
     from dhseq.numtheory import MAX_PERIOD
 
     rp = parse_bit_line("0" * (MAX_PERIOD - 2) + "1\n")
-    assert rp == RawPeriod(1 << (MAX_PERIOD - 2), MAX_PERIOD - 1)
+    assert rp == Period(1 << (MAX_PERIOD - 2), MAX_PERIOD - 1)
     for bad in ("1" * MAX_PERIOD, "2" * (MAX_PERIOD + 1)):
         with pytest.raises(PeriodTooLarge) as exc:
             parse_bit_line(bad)
@@ -127,7 +141,7 @@ def test_parse_bit_line_period_bound():
 
 
 def test_raw_period():
-    rp = RawPeriod(from_bits((1, 0, 1)), 3)
+    rp = Period(from_bits((1, 0, 1)), 3)
     assert rp.n == 3
 
 
@@ -229,6 +243,6 @@ def test_sequence_line_matches_per_bit_format():
 
 def test_raw_period_rejects_bits_beyond_n():
     with pytest.raises(ValueError):
-        RawPeriod(0b1000, 3)
+        Period(0b1000, 3)
     with pytest.raises(ValueError):
-        RawPeriod(0, 0)
+        Period(0, 0)

@@ -19,7 +19,7 @@ from dhseq.lincomp import (
     spectrum,
 )
 from dhseq.numtheory import factorize, h_orbits, order_of_two, validate_modulus
-from dhseq.sequence import DHSequence, RawPeriod, generate
+from dhseq.sequence import Period, generate
 from dhseq.theorems import all_checks, check_lemma2, check_lemma3, check_lemma4, check_theorem1
 
 import oracles
@@ -220,11 +220,11 @@ def test_checks_match_sweeps_every_field_modulus(moduli, assignments):
                 assert check_lemma3(m, a, d, field) == lemma3_sweep(m, a, d, field)
 
 
-def flipped(seq: DHSequence, positions) -> DHSequence:
+def flipped(seq: Period, positions) -> Period:
     packed = seq.packed
     for i in positions:
         packed ^= 1 << i
-    return DHSequence(seq.modulus, seq.assignment, packed)
+    return Period(packed, seq.n)
 
 
 def test_raw_period_off_the_orbits_takes_full_sweep():
@@ -232,7 +232,7 @@ def test_raw_period_off_the_orbits_takes_full_sweep():
         m = validate_modulus(factors)
         field = build_field(m.n)
         seq = generate(m, VectorAssignment.default(m))
-        raw = RawPeriod(seq.packed ^ 1 << i, m.n)
+        raw = Period(seq.packed ^ 1 << i, m.n)
         exps = [j for j in range(m.n) if raw.packed >> j & 1]
         spec = spectrum(exps, field)
         assert not spec.reduced
@@ -362,7 +362,7 @@ def test_spectral_values_refuses_a_full_sweep_above_the_bound():
     seq = generate(m, VectorAssignment.default(m))
     assert is_orbit_union([j for j in range(m.n) if seq.packed >> j & 1], field.orbits())
     assert lincomp_spectral(seq, field) == lincomp_gcd(seq)
-    raw = RawPeriod(seq.packed ^ 1 << 5, m.n)
+    raw = Period(seq.packed ^ 1 << 5, m.n)
     assert not is_orbit_union([j for j in range(m.n) if raw.packed >> j & 1], field.orbits())
     with pytest.raises(DHSeqError, match=f"above n={MAX_FULL_SWEEP}"):
         spectral_values(raw, field)
