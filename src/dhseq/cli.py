@@ -248,16 +248,17 @@ def cmd_survey(args) -> int:
         raise DHSeqError(
             f"--max-n {args.max_n} is not below the supported period bound {numtheory.MAX_PERIOD}"
         )
-    rows = []
-    for modulus in numtheory.enumerate_valid_moduli(args.max_n):
-        if args.mode == "two-primes-11":
-            if modulus.t != 2 or any(e != 1 for _, e in modulus.factors):
-                continue
-            assignment = VectorAssignment.all_ones_top(modulus)
-        else:
-            assignment = VectorAssignment.default(modulus)
-        rows.append(survey_row(modulus, assignment, args.degree_cap))
+    # opened before the first row, so an unwritable --out fails at once
     with open(args.out, "w", newline="") as fh:
+        rows = []
+        for modulus in numtheory.enumerate_valid_moduli(args.max_n):
+            if args.mode == "two-primes-11":
+                if modulus.t != 2 or any(e != 1 for _, e in modulus.factors):
+                    continue
+                assignment = VectorAssignment.all_ones_top(modulus)
+            else:
+                assignment = VectorAssignment.default(modulus)
+            rows.append(survey_row(modulus, assignment, args.degree_cap))
         # DictWriter raises on a key outside CSV_HEADER
         writer = csv.DictWriter(fh, CSV_HEADER)
         writer.writeheader()

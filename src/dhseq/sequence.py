@@ -3,9 +3,8 @@
 A period is one record, Period(packed, n): bit i of the int packed is s_i,
 and n is the length (zeros at the end of the period are high zero bits,
 which the int itself does not hold). generate and parse_bit_line both
-return one, so equal bits compare equal. generate builds it from the
-per-prime-power label tiles of numtheory.label_tiles with int operations
-only.
+return one, so equal bits compare equal. generate reads each block's rule
+from block_rules and lays out numtheory.label_tiles with int operations.
 """
 
 from __future__ import annotations
@@ -46,49 +45,51 @@ def delta(n: int) -> int:
     return 1 if n % 4 == 3 else 0
 
 
-def generate(modulus: Modulus, assignment: VectorAssignment) -> Period:
-    """Materialize one period.
+def block_rules(modulus: Modulus, assignment: VectorAssignment) -> list[tuple[int, int]]:
+    """The rule (sel, flip) of each block d = prod p_j^l_j of n, the (l_j)
+    in the order of itertools.product over 0..e_j (the last prime's fastest).
 
-    Index 0 is a one. Any other index i lies in the block of d = n/gcd(i, n),
-    and its bit is the class of the unit u = i/(n/d) in Z_d*: the xor, over
-    the primes p_j that a_d selects, of chi_{p_j}(u). With v_j = v_{p_j}(i),
-    u and i/p_j^v_j differ by the unit (n/d)/p_j^v_j mod p_j, so chi_{p_j}(u)
-    is chi_{p_j}(i/p_j^v_j) flipped when f_j = chi_{p_j}((n/d)/p_j^v_j) is 1.
-    So the bit of i depends only on the label of i mod p_j^e_j in
-    numtheory.prime_power_labels, for every j: the valuations fix d, and
-    the chi bits fix the class. By CRT the period is the OR, over the label
-    tuples whose bit is 1, of the AND of their tiles (numtheory.label_tiles).
-
-    _trie_bits sums that OR over a trie of the primes, the largest at the
-    root, so that only the root works at n bits.
+    An index i of block d, d = n/gcd(i, n) > 1, has the class of the unit
+    u = i/(n/d) in Z_d* as its bit: the xor of chi_{p_j}(u) over the p_j
+    that a_d selects (bit j of sel). With v_j = v_{p_j}(i) = e_j - l_j, u and
+    i/p_j^v_j differ by the unit (n/d)/p_j^v_j mod p_j, so chi_{p_j}(u) is
+    chi_{p_j}(i/p_j^v_j) flipped when f_j = chi_{p_j}((n/d)/p_j^v_j) is 1;
+    flip is the xor of the selected f_j. Block d = 1, index 0 alone, is (0, 1).
     """
-    factors = modulus.factors
-    n = modulus.n
-    chi = [nonsquare_table(p) for p, _ in factors]
-    # every d | n with its exponents (l_j), in the order of a product over
-    # the l_j with the last prime's fastest: block k has k = the sum of
-    # l_j * stride_j, stride_j the product of e_i + 1 over the primes after p_j
+    factors, n = modulus.factors, modulus.n
     blocks = [(1, ())]
     for p, e in factors:
         blocks = [(d * p**l, ls + (l,)) for d, ls in blocks for l in range(e + 1)]
-    # rule[k] = (sel, flip) for block k: bit j of sel is the coordinate of
-    # a_d at p_j, and flip is the xor of the selected f_j. Block 0 (d = 1)
-    # is index 0 alone, whose bit is 1.
-    rule = [(0, 1)]
+    rules = [(0, 1)]
     for d, ls in blocks[1:]:
         bits = iter(assignment.vector_for(d))
         sel = flip = 0
-        for j, l in enumerate(ls):
+        for j, ((p, e), l) in enumerate(zip(factors, ls)):
             if l and next(bits):
-                p, e = factors[j]
                 sel |= 1 << j
-                flip ^= chi[j][n // d // p ** (e - l) % p]
-        rule.append((sel, flip))
+                flip ^= nonsquare_table(p)[n // d // p ** (e - l) % p]
+        rules.append((sel, flip))
+    return rules
+
+
+def generate(modulus: Modulus, assignment: VectorAssignment) -> Period:
+    """Materialize one period.
+
+    By block_rules, the bit of i depends only on the label of i mod p_j^e_j
+    (numtheory.prime_power_labels) for every j: the valuations fix the block
+    and the chi bits the class. By CRT the period is the OR, over the label
+    tuples whose bit is 1, of the AND of their tiles (numtheory.label_tiles),
+    which _trie_bits sums over a trie of the primes, the largest at the root,
+    so that only the root works at n bits.
+    """
+    factors = modulus.factors
+    # rule[k]: k = sum of l_j * stride_j, stride_j = prod of e_i + 1 over i > j
+    rule = block_rules(modulus, assignment)
     # per prime p_j: the width below it (the product of the smaller prime
     # powers) and, by increasing valuation v, the width below * p_j^(v+1)
     # at which the labels of valuation v join the sum (label 0 with the
     # last), each label with its rule offset, chi bit and tile at that width
-    levels, below, stride = [], 1, len(blocks)
+    levels, below, stride = [], 1, len(rule)
     for j, (p, e) in enumerate(factors):
         stride //= e + 1
         tiles = label_tiles(p, e)
@@ -104,7 +105,7 @@ def generate(modulus: Modulus, assignment: VectorAssignment) -> Period:
         levels.append((below, steps))
         below = width
     packed = _trie_bits(levels, rule, len(factors) - 1, 0, 0)
-    return Period(packed, n)
+    return Period(packed, modulus.n)
 
 
 def _trie_bits(levels, rule, j: int, k: int, chis: int) -> int:

@@ -474,7 +474,8 @@ def test_survey_spectral_disagreement_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "spectral/GCD disagreement at n=3" in err
-    assert not out_csv.exists()
+    # --out is opened before the first row, so the stopped survey leaves it empty
+    assert out_csv.read_text() == ""
 
 
 def test_survey_bm_disagreement_exits_3(tmp_path, capsys, monkeypatch):
@@ -485,6 +486,34 @@ def test_survey_bm_disagreement_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "BM/GCD disagreement at n=15" in err
+
+
+def test_survey_unwritable_out_exits_2_before_the_first_row(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "survey_row", lambda *args: calls.append(args))
+    out = tmp_path / "no" / "such" / "s.csv"
+    code, stdout, err = run(
+        capsys, "survey", "--max-n", "2000", "--mode", "default-all", "--out", str(out)
+    )
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert stdout == "" and calls == []
+
+
+def test_lincomp_disagreement_exits_3_after_every_value(capsys, monkeypatch):
+    monkeypatch.setattr(cli.lincomp, "lincomp_bm", _wrong_by_one(cli.lincomp.lincomp_bm))
+    code, out, err = run(capsys, "lincomp", "--method", "all", "--factors", "3:1,7:1", "--default")
+    assert code == 3
+    assert out == "L[bm] = 19\nL[gcd] = 18\nL[spectral] = 18\n"
+    assert err == "error: methods disagree\n"
+
+
+def test_verify_corollary_failure_exits_1_with_its_witness(capsys, monkeypatch):
+    real = cli.lincomp.lincomp_gcd
+    monkeypatch.setattr(cli.lincomp, "lincomp_gcd", lambda seq: real(seq) - 1)
+    code, out, _ = run(capsys, "verify", "--check", "corollary", "--factors", "3:2,5:1")
+    assert code == 1
+    assert out == "corollary applicable=true holds=false witness=L=44, expected 45\n"
 
 
 def test_method_disagreement_is_not_an_input_error():

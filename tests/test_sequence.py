@@ -1,12 +1,16 @@
+import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dhseq import sequence
 from dhseq.cyclotomy import VectorAssignment
-from dhseq.numtheory import validate_modulus
+from dhseq.numtheory import h_orbits, prime_power_labels, validate_modulus
 from dhseq.sequence import (
     Period,
+    block_rules,
     delta,
     generate,
     metadata_block,
@@ -16,11 +20,13 @@ from dhseq.sequence import (
 
 from conftest import valid_moduli
 from oracles import (
+    class_index,
     from_bits,
     generate_by_buffer,
     generate_by_index,
     global_partition,
     one_positions,
+    residue_class,
     to_bits,
 )
 
@@ -246,3 +252,72 @@ def test_raw_period_rejects_bits_beyond_n():
         Period(0b1000, 3)
     with pytest.raises(ValueError):
         Period(0, 0)
+
+
+def _block_rule_cases(max_n):
+    for m in valid_moduli(max_n):
+        for make in (VectorAssignment.default, VectorAssignment.all_ones_top, _random_odd_sum):
+            yield m, make(m)
+
+
+def test_block_rules_follow_their_definition_to_2000():
+    # f_j = chi_{p_j}((n/d)/p_j^(e_j - l_j)) expanded over the primes: the xor,
+    # over r != j, of (e_r - l_r) mod 2 times chi_{p_j}(p_r), each chi by
+    # Euler's criterion; so a rule depends only on the exponents, those
+    # Legendre bits and the assignment
+    blocks = flips = 0
+    for m, a in _block_rule_cases(2000):
+        rules = block_rules(m, a)
+        exponents = list(itertools.product(*(range(e + 1) for _, e in m.factors)))
+        assert len(rules) == len(exponents) and rules[0] == (0, 1)
+        for ls, (sel, flip) in zip(exponents[1:], rules[1:]):
+            d = math.prod(p**l for (p, _), l in zip(m.factors, ls))
+            primes = [j for j, l in enumerate(ls) if l]
+            assert sel == sum(1 << j for j, bit in zip(primes, a.vector_for(d)) if bit)
+            want = 0
+            for j in primes:
+                if sel >> j & 1:
+                    for r, ((q, e), l) in enumerate(zip(m.factors, ls)):
+                        if r != j:
+                            want ^= (e - l) % 2 * residue_class(q, m.factors[j][0], 1)
+            assert flip == want, (m.n, d, a)
+            blocks += 1
+            flips += flip
+    assert (blocks, flips) == (6261, 2046)
+
+
+def test_block_rules_give_the_class_of_every_orbit_to_2000():
+    # the rule read at the labels of r as _trie_bits reads it, not through
+    # generate, against the class of r's unit part in its own block
+    for m, a in _block_rule_cases(2000):
+        rules = block_rules(m, a)
+        strides = [math.prod(e + 1 for _, e in m.factors[j + 1 :]) for j in range(m.t)]
+        tables = [prime_power_labels(p, e) for p, e in m.factors]
+        for r in h_orbits(m.n).reps[1:]:
+            k = chis = 0
+            for j, ((p, e), table) in enumerate(zip(m.factors, tables)):
+                label = table[r % p**e]
+                if label:
+                    v, c = divmod(label - 1, 2)
+                    k += (e - v) * strides[j]
+                    chis |= c << j
+            sel, flip = rules[k]
+            g = math.gcd(r, m.n)
+            d = m.n // g
+            want = class_index(r // g, m.divisor_factorization(d), a.vector_for(d))
+            assert flip ^ ((chis & sel).bit_count() & 1) == want, (m.n, r, a)
+
+
+def test_generate_reads_its_flips_from_block_rules(monkeypatch):
+    m = validate_modulus([(3, 2), (5, 1), (11, 1)])
+    a = VectorAssignment.parse_spec(m, "495:101\n45:11\n99:01\n55:11")
+    assert generate(m, a).packed == generate_by_index(m, a)
+    real = sequence.block_rules
+
+    def without_flips(modulus, assignment):
+        rules = real(modulus, assignment)
+        return rules[:1] + [(sel, 0) for sel, _ in rules[1:]]
+
+    monkeypatch.setattr(sequence, "block_rules", without_flips)
+    moved = generate(m, a).packed ^ generate_by_index(m, a)
+    assert moved.bit_count() == 32

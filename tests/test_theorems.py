@@ -8,7 +8,7 @@ from dhseq import theorems
 from dhseq.cyclotomy import VectorAssignment, generalized_classes
 from dhseq.errors import GcdConditionViolated, OutsideCaseTable
 from dhseq.gf2poly import build_field
-from dhseq.lincomp import lincomp_bm, spectral_values
+from dhseq.lincomp import Spectrum, lincomp_bm, spectral_values
 from dhseq.numtheory import order_of_two, validate_modulus
 from dhseq.sequence import delta, generate
 from dhseq.theorems import (
@@ -64,6 +64,26 @@ def test_lemma1_sweep_default_assignment():
         for d in m.divisors_gt1():
             v = check_lemma1(m, d, a.vector_for(d))
             assert v.applicable and v.holds, (m.n, d)
+
+
+def test_lemma1_witness_when_the_root_does_not_swap(monkeypatch):
+    monkeypatch.setattr(theorems.numtheory, "combined_root", lambda modulus: 1)
+    v = check_lemma1(M21, 7, (1,))
+    assert v.applicable and v.holds is False
+    assert v.witness == "g=1 does not swap the classes of 7"
+
+
+def test_lemma2_witness_when_an_orbit_value_flips():
+    a = VectorAssignment.default(M21)
+    field = build_field(21)
+    memo = theorems._DivisorMemo(M21, a, field)
+    s1 = memo.spectrum(21, 1)
+    values = list(s1.values)
+    values[1] ^= 1
+    memo._spectra[21, 1] = Spectrum(s1.reduced, s1.reps, tuple(values), s1.labels)
+    v = check_lemma2(M21, a, 21, field, memo)
+    assert v.applicable and v.holds is False
+    assert v.witness.startswith("evaluation form fails at v=")
 
 
 def test_lemma2_n21_d7_field():
