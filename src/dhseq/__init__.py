@@ -15,6 +15,7 @@ from .numtheory import (
 )
 from .sequence import Period, delta, generate
 from .theorems import (
+    CheckRun,
     CheckVerdict,
     check_corollary,
     check_lemma1,
@@ -29,6 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryField",
+    "CheckRun",
     "CheckVerdict",
     "DHSeqError",
     "Modulus",

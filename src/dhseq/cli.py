@@ -202,15 +202,15 @@ def _cell(value) -> str:
 def survey_row(modulus: Modulus, assignment: VectorAssignment, degree_cap=None) -> dict:
     """One survey measurement, keyed by CSV_HEADER in header order; raises
     MethodDisagreement when BM or the spectral route disagrees with gcd."""
-    seq = sequence.generate(modulus, assignment)
-    found, _ = _measure(seq, METHODS, degree_cap)
-    l_gcd = found["gcd"]
+    run = theorems.CheckRun(modulus, assignment, None)
+    seq, l_gcd = run.measured()
+    found, _ = _measure(seq, ("bm", "spectral"), degree_cap)
     for method, label in (("bm", "BM"), ("spectral", "spectral")):
         if found.get(method, l_gcd) != l_gcd:
             raise MethodDisagreement(
                 f"{label}/GCD disagreement at n={modulus.n}: {found[method]} vs {l_gcd}"
             )
-    th1 = theorems.check_theorem1(modulus, assignment, None, (seq, l_gcd))
+    th1 = theorems.check_theorem1(run)
     predicted = match = None
     if (
         modulus.t == 2

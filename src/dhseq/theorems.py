@@ -2,8 +2,9 @@
 
 Each check returns a CheckVerdict rather than a bare bool so a failure
 carries a witness: the first divisor, exponent, or unit where the identity
-broke. Checks that need the GF(2^m) context take a BinaryField; passing
-None restricts them to whatever can be decided without one.
+broke. Every check takes one CheckRun, which holds the modulus, the
+assignment and the GF(2^m) context of a run; a run without a field
+restricts the checks to whatever can be decided without one.
 """
 
 from __future__ import annotations
@@ -37,14 +38,17 @@ class CheckVerdict(NamedTuple):
         return not self.applicable or bool(self.holds)
 
 
-class _DivisorMemo:
-    """One run's memo over the divisors d > 1 of n: the class pair (d0, d1)
-    of d under the assignment, and the spectrum of each class lifted to Z_n
-    by n/d, each built on its first read."""
+class CheckRun:
+    """What the checks of one run share: the class pair (d0, d1) of each
+    divisor d > 1 under the assignment, the spectrum of each class lifted
+    to Z_n by n/d, and the generated period with its complexity by the gcd
+    route, each built on its first read and kept for the run."""
 
     def __init__(self, modulus: Modulus, assignment: VectorAssignment, field: BinaryField | None):
+        if field is not None and field.n != modulus.n:
+            raise ValueError(f"field is for n={field.n}, modulus has n={modulus.n}")
         self.modulus, self.assignment, self.field = modulus, assignment, field
-        self._classes, self._spectra = {}, {}
+        self._classes, self._spectra, self._measured = {}, {}, None
 
     def classes(self, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if d not in self._classes:
@@ -61,17 +65,22 @@ class _DivisorMemo:
             self._spectra[d, j] = lincomp.spectrum(lifted, self.field)
         return self._spectra[d, j]
 
+    def measured(self) -> tuple[Period, int]:
+        """The generated period and its complexity by the gcd route."""
+        if self._measured is None:
+            seq = sequence.generate(self.modulus, self.assignment)
+            self._measured = seq, lincomp.lincomp_gcd(seq)
+        return self._measured
 
-def check_lemma1(modulus: Modulus, d: int, a_d, classes=None) -> CheckVerdict:
+
+def check_lemma1(run: CheckRun, d: int) -> CheckVerdict:
     """Multiplication by the combined root must swap the two classes of d
-    whenever the vector has odd coordinate sum. `classes`, the (d0, d1) pair
-    of d, is built when not given."""
+    whenever the vector has odd coordinate sum."""
     name = f"lemma1(d={d})"
-    a_d = tuple(a_d)
-    if sum(a_d) % 2 == 0:
+    if sum(run.assignment.vector_for(d)) % 2 == 0:
         return CheckVerdict(name, False, None, "even coordinate sum")
-    d0, d1 = classes or cyclotomy.generalized_classes(modulus.divisor_factorization(d), a_d)
-    g = numtheory.combined_root(modulus) % d
+    d0, d1 = run.classes(d)
+    g = numtheory.combined_root(run.modulus) % d
     swapped0 = {g * x % d for x in d0}
     swapped1 = {g * x % d for x in d1}
     if swapped0 == set(d1) and swapped1 == set(d0):
@@ -79,83 +88,64 @@ def check_lemma1(modulus: Modulus, d: int, a_d, classes=None) -> CheckVerdict:
     return CheckVerdict(name, True, False, f"g={g} does not swap the classes of {d}")
 
 
-def check_lemma2(
-    modulus: Modulus, assignment: VectorAssignment, d: int,
-    field: BinaryField | None = None, memo: _DivisorMemo | None = None,
-) -> CheckVerdict:
+def check_lemma2(run: CheckRun, d: int) -> CheckVerdict:
     """Scaled-class evaluations must match under the root-for-argument swap:
     the lifted d1 sum at alpha^(vg) equals the lifted d0 sum at alpha^v.
 
-    Without a field only the underlying set identity is checked. `memo`,
-    the run's divisor memo, is built when not given.
-    """
+    Without a field only the underlying set identity is checked."""
     name = f"lemma2(d={d})"
-    if sum(assignment.vector_for(d)) % 2 == 0:
+    if sum(run.assignment.vector_for(d)) % 2 == 0:
         return CheckVerdict(name, False, None, "even coordinate sum")
-    memo = memo or _DivisorMemo(modulus, assignment, field)
-    d0, d1 = memo.classes(d)
-    n = modulus.n
+    d0, d1 = run.classes(d)
+    n = run.modulus.n
     k = n // d
-    g = numtheory.combined_root(modulus)
+    g = numtheory.combined_root(run.modulus)
     lifted0 = {k * x % n for x in d0}
     lifted1 = {k * x % n for x in d1}
     if {g * x % n for x in lifted1} != lifted0:
         return CheckVerdict(name, True, False, f"set form fails for d={d}")
-    if field is not None:
-        s0, s1 = memo.spectrum(d, 0), memo.spectrum(d, 1)
+    if run.field is not None:
+        s0, s1 = run.spectrum(d, 0), run.spectrum(d, 1)
         for v in lincomp.common_reps(s0, s1)[1:]:
             if s1[v * g % n] != s0[v]:
                 return CheckVerdict(name, True, False, f"evaluation form fails at v={v}")
     return CheckVerdict(name, True, True)
 
 
-def _measure(modulus: Modulus, assignment: VectorAssignment) -> tuple[Period, int]:
-    """The generated period and its complexity by the gcd route."""
-    seq = sequence.generate(modulus, assignment)
-    return seq, lincomp.lincomp_gcd(seq)
-
-
-def check_theorem1(
-    modulus: Modulus, assignment: VectorAssignment, field: BinaryField | None = None, measured=None
-) -> CheckVerdict:
+def check_theorem1(run: CheckRun) -> CheckVerdict:
     """When every divisor vector has odd coordinate sum, the complexity of
     the generated period must reach (n+1)/2 - delta. Given a field, the
     complementary spectrum pairing (values at v and g*v sum to 1) is
-    verified as well. `measured`, the period and its complexity by the gcd
-    route, is computed when not given."""
+    verified as well."""
     name = "theorem1"
-    if _has_even_vector(modulus, assignment):
+    if _has_even_vector(run.modulus, run.assignment):
         return CheckVerdict(name, False, None, _EVEN_SUM)
-    seq, L = measured or _measure(modulus, assignment)
-    n = modulus.n
+    seq, L = run.measured()
+    n = run.modulus.n
     bound = (n + 1) // 2 - delta(n)
     if L < bound:
         return CheckVerdict(name, True, False, f"L={L} below bound {bound}")
-    if field is not None:
-        spec = lincomp.spectrum(gf2poly.exponents(seq.packed), field)
-        g = numtheory.combined_root(modulus)
+    if run.field is not None:
+        spec = lincomp.spectrum(gf2poly.exponents(seq.packed), run.field)
+        g = numtheory.combined_root(run.modulus)
         for v in lincomp.common_reps(spec)[1:]:
             if spec[v] ^ spec[v * g % n] != 1:
                 return CheckVerdict(name, True, False, f"pairing fails at v={v}")
     return CheckVerdict(name, True, True)
 
 
-def check_corollary(
-    modulus: Modulus, assignment: VectorAssignment, L: int | None = None
-) -> CheckVerdict:
+def check_corollary(run: CheckRun) -> CheckVerdict:
     """When 2 generates every factor's unit group (so the combined root can
-    be taken to be 2), the complexity must be exactly n - delta. L, the
-    complexity of the generated period, is measured when not given."""
+    be taken to be 2), the complexity must be exactly n - delta."""
     name = "corollary"
-    if _has_even_vector(modulus, assignment):
+    if _has_even_vector(run.modulus, run.assignment):
         return CheckVerdict(name, False, None, _EVEN_SUM)
-    for p, e in modulus.factors:
+    for p, e in run.modulus.factors:
         q = p**e
         if numtheory.order_of_two(q) != q // p * (p - 1):
             return CheckVerdict(name, False, None, f"2 is not a primitive root modulo {q}")
-    if L is None:
-        L = _measure(modulus, assignment)[1]
-    expected = modulus.n - delta(modulus.n)
+    L = run.measured()[1]
+    expected = run.modulus.n - delta(run.modulus.n)
     if L == expected:
         return CheckVerdict(name, True, True)
     return CheckVerdict(name, True, False, f"L={L}, expected {expected}")
@@ -178,50 +168,46 @@ def _odd_tuple_sum(field: BinaryField, a_d, pairs) -> int:
     return odd
 
 
-def check_lemma3(
-    modulus: Modulus, assignment: VectorAssignment, d: int, field: BinaryField | None,
-    memo: _DivisorMemo | None = None,
-) -> CheckVerdict:
+def check_lemma3(run: CheckRun, d: int) -> CheckVerdict:
     """The lifted d1 sum at alpha^v must factor through the prime powers q of
     d: it equals the sum over odd index tuples of the products of per-factor
     class sums at beta^v, beta = alpha^(b n/q), b = (d/q)^-1 mod q. As b maps
-    class j of q onto class j xor chi_p(d/q), that sum is the memo's lifted
+    class j of q onto class j xor chi_p(d/q), that sum is the run's lifted
     spectrum of class j xor chi_p(d/q) of q. The right side is taken by
     _odd_tuple_sum, at most four products per prime power of d; the left is
     the spectrum of the lifted class itself. Not applicable without a
-    field; `memo` is as for check_lemma2."""
+    field."""
     name = f"lemma3(d={d})"
-    if field is None:
+    if run.field is None:
         return CheckVerdict(name, False, None, "field unavailable")
-    memo = memo or _DivisorMemo(modulus, assignment, field)
-    lhs = memo.spectrum(d, 1)
+    lhs = run.spectrum(d, 1)
     pairs = []
-    for p, l in modulus.divisor_factorization(d):
+    for p, l in run.modulus.divisor_factorization(d):
         swap = numtheory.nonsquare_table(p)[d // p**l % p]
-        pairs.append((memo.spectrum(p**l, swap), memo.spectrum(p**l, 1 - swap)))
-    a_d = assignment.vector_for(d)
+        pairs.append((run.spectrum(p**l, swap), run.spectrum(p**l, 1 - swap)))
+    a_d = run.assignment.vector_for(d)
     for v in lincomp.common_reps(lhs, *(s for pair in pairs for s in pair))[1:]:
-        if lhs[v] != _odd_tuple_sum(field, a_d, [(s0[v], s1[v]) for s0, s1 in pairs]):
+        if lhs[v] != _odd_tuple_sum(run.field, a_d, [(s0[v], s1[v]) for s0, s1 in pairs]):
             return CheckVerdict(name, True, False, f"mismatch at v={v}")
     return CheckVerdict(name, True, True)
 
 
-def check_lemma4(modulus: Modulus, field: BinaryField | None) -> CheckVerdict:
+def check_lemma4(run: CheckRun) -> CheckVerdict:
     """With the all-ones vector on a squarefree two-prime n, the spectrum on
     units must be constant: 0 when both primes are 3 mod 4, 1 otherwise.
+    The period is generated under that vector, not the run's assignment.
     Not applicable without a field."""
     name = "lemma4"
-    if field is None:
+    if run.field is None:
         return CheckVerdict(name, False, None, "field unavailable")
-    if modulus.t != 2 or any(e != 1 for _, e in modulus.factors):
+    if run.modulus.t != 2 or any(e != 1 for _, e in run.modulus.factors):
         return CheckVerdict(name, False, None, "n is not a product of two distinct primes")
-    (p1, _), (p2, _) = modulus.factors
-    seq = sequence.generate(modulus, VectorAssignment.all_ones_top(modulus))
+    (p1, _), (p2, _) = run.modulus.factors
+    seq = sequence.generate(run.modulus, VectorAssignment.all_ones_top(run.modulus))
     expected = 0 if p1 % 4 == 3 and p2 % 4 == 3 else 1
-    spec = lincomp.spectrum(gf2poly.exponents(seq.packed), field)
-    n = modulus.n
+    spec = lincomp.spectrum(gf2poly.exponents(seq.packed), run.field)
     for v in lincomp.common_reps(spec)[1:]:
-        if math.gcd(v, n) == 1 and spec[v] != expected:
+        if math.gcd(v, run.modulus.n) == 1 and spec[v] != expected:
             return CheckVerdict(name, True, False, f"S(alpha^{v}) != {expected}")
     return CheckVerdict(name, True, True)
 
@@ -256,32 +242,22 @@ def all_checks(
     check for "all", in a deterministic order.
 
     Checks that require a field are reported as not applicable when none is
-    supplied (extension degree above the cap). The lemmas share one divisor
-    memo per run, so each class pair and each lifted-class spectrum is built
-    once, on its first read (lemma1 and lemma2 read d on an odd coordinate
-    sum; lemma3, with a field, reads d and its prime powers). When
-    theorem1 is requested, one period and one gcd serve it and the
-    corollary; the corollary alone measures only where it applies.
+    supplied (extension degree above the cap). The checks share one
+    CheckRun, so each class pair, each lifted-class spectrum and the
+    generated period with its gcd are built at most once, on their first
+    read: lemma1 and lemma2 read d on an odd coordinate sum; lemma3, with a
+    field, reads d and its prime powers; theorem1 and the corollary read
+    the period only where they apply.
     """
     if check != "all" and check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECKS} or 'all'")
-    out = {name: [] for name in (CHECKS if check == "all" else (check,))}
-    memo = _DivisorMemo(modulus, assignment, field)
-    for d in modulus.divisors_gt1():
-        if "lemma1" in out:
-            a_d = assignment.vector_for(d)
-            classes = memo.classes(d) if sum(a_d) % 2 else None
-            out["lemma1"].append(check_lemma1(modulus, d, a_d, classes))
-        if "lemma2" in out:
-            out["lemma2"].append(check_lemma2(modulus, assignment, d, field, memo))
-        if "lemma3" in out:
-            out["lemma3"].append(check_lemma3(modulus, assignment, d, field, memo))
-    if "lemma4" in out:
-        out["lemma4"].append(check_lemma4(modulus, field))
-    shared = "theorem1" in out and not _has_even_vector(modulus, assignment)
-    measured = _measure(modulus, assignment) if shared else None
-    if "theorem1" in out:
-        out["theorem1"].append(check_theorem1(modulus, assignment, field, measured))
-    if "corollary" in out:
-        out["corollary"].append(check_corollary(modulus, assignment, measured and measured[1]))
-    return [v for verdicts in out.values() for v in verdicts]
+    run = CheckRun(modulus, assignment, field)
+    verdicts = []
+    for name in CHECKS if check == "all" else (check,):
+        # looked up per call, so a patched or traced check is seen
+        run_check = globals()[f"check_{name}"]
+        if name in ("lemma1", "lemma2", "lemma3"):
+            verdicts += [run_check(run, d) for d in modulus.divisors_gt1()]
+        else:
+            verdicts.append(run_check(run))
+    return verdicts

@@ -65,7 +65,7 @@ def test_criterion_2_theorem1_bound_to_2000():
     failures = []
     moduli = valid_moduli(2000)
     for m in moduli:
-        v = theorems.check_theorem1(m, VectorAssignment.default(m))
+        v = theorems.check_theorem1(theorems.CheckRun(m, VectorAssignment.default(m), None))
         if not (v.applicable and v.holds):
             failures.append((m.n, v.witness))
     report("2: theorem1 bound L >= (n+1)/2 - delta, all valid n<=2000", failures, len(moduli))
@@ -78,7 +78,9 @@ def test_criterion_3_lemma4_spectrum():
         if order_of_two(m.n) > 64:
             continue
         checked += 1
-        v = theorems.check_lemma4(m, build_field(m.n))
+        v = theorems.check_lemma4(
+            theorems.CheckRun(m, VectorAssignment.default(m), build_field(m.n))
+        )
         if not (v.applicable and v.holds):
             failures.append((m.n, v.witness))
     assert checked >= 25
@@ -108,12 +110,13 @@ def test_criterion_5_lemma1_set_identity():
     checked = 0
     for m in valid_moduli(2000):
         for assignment in odd_sum_assignments(m):
+            run = theorems.CheckRun(m, assignment, None)
             for d in m.divisors_gt1():
                 a_d = assignment.vector_for(d)
                 if sum(a_d) % 2 == 0:
                     continue
                 checked += 1
-                v = theorems.check_lemma1(m, d, a_d)
+                v = theorems.check_lemma1(run, d)
                 if not (v.applicable and v.holds):
                     failures.append((m.n, d, a_d))
     report("5: lemma1 class swap for every odd-sum divisor vector, n<=2000", failures, checked)
@@ -126,17 +129,18 @@ def test_criterion_6_lemma2_and_lemma3():
         m = validate_modulus(n_factors)
         assert m.n in NAMED_MODULI
         field = build_field(m.n)
+        default = theorems.CheckRun(m, VectorAssignment.default(m), field)
+        top = theorems.CheckRun(m, VectorAssignment.all_ones_top(m), field)
         for d in m.divisors_gt1():
-            default = VectorAssignment.default(m)
-            v = theorems.check_lemma2(m, default, d, field)
+            v = theorems.check_lemma2(default, d)
             checked += 1
             if not (v.applicable and v.holds):
                 failures.append(("lemma2", m.n, d))
-            for assignment in (default, VectorAssignment.all_ones_top(m)):
-                v = theorems.check_lemma3(m, assignment, d, field)
+            for run in (default, top):
+                v = theorems.check_lemma3(run, d)
                 checked += 1
                 if not (v.applicable and v.holds):
-                    failures.append(("lemma3", m.n, d, assignment.vector_for(d)))
+                    failures.append(("lemma3", m.n, d, run.assignment.vector_for(d)))
     report("6: lemma2 (set + evaluation) and lemma3 on {9,15,21,33,105}", failures, checked)
 
 

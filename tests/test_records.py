@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dhseq import CheckVerdict, VectorAssignment, check_lemma4, generate
+from dhseq import CheckRun, CheckVerdict, VectorAssignment, check_lemma4, generate
 from dhseq.numtheory import validate_modulus
 from dhseq.sequence import parse_bit_line
 
@@ -61,7 +61,7 @@ def test_modulus_equal_and_hashed_by_sorted_factors():
 def test_record_reprs_name_every_field():
     m = validate_modulus([(7, 1), (3, 1)])
     assert repr(m) == "Modulus(factors=((3, 1), (7, 1)), n=21)"
-    assert repr(check_lemma4(m, None)) == (
+    assert repr(check_lemma4(CheckRun(m, VectorAssignment.default(m), None))) == (
         "CheckVerdict(name='lemma4', applicable=False, holds=None, witness='field unavailable')"
     )
     assert repr(CheckVerdict("theorem1", True, True)) == (

@@ -20,7 +20,14 @@ from dhseq.lincomp import (
 )
 from dhseq.numtheory import factorize, h_orbits, order_of_two, validate_modulus
 from dhseq.sequence import Period, generate
-from dhseq.theorems import all_checks, check_lemma2, check_lemma3, check_lemma4, check_theorem1
+from dhseq.theorems import (
+    CheckRun,
+    all_checks,
+    check_lemma2,
+    check_lemma3,
+    check_lemma4,
+    check_theorem1,
+)
 
 import oracles
 from conftest import valid_moduli
@@ -161,7 +168,7 @@ def test_engine_matches_sweep_random_odd_sum(case):
     field = build_field(m.n)
     seq = generate(m, a)
     assert spectral_values(seq, field) == spectral_values_sweep(seq, field)
-    assert check_theorem1(m, a, field) == theorem1_sweep(m, a, field)
+    assert check_theorem1(CheckRun(m, a, field)) == theorem1_sweep(m, a, field)
 
 
 def default_and_all_ones_top(m):
@@ -212,12 +219,14 @@ T3_FIELD_MODULI = tuple(m for m in FIELD_MODULI if m.t == 3) + (
 def test_checks_match_sweeps_every_field_modulus(moduli, assignments):
     for m in moduli:
         field = build_field(m.n)
-        assert check_lemma4(m, field) == lemma4_sweep(m, field), m.n
+        default = CheckRun(m, VectorAssignment.default(m), field)
+        assert check_lemma4(default) == lemma4_sweep(m, field), m.n
         for a in assignments(m):
-            assert check_theorem1(m, a, field) == theorem1_sweep(m, a, field), m.n
+            run = CheckRun(m, a, field)
+            assert check_theorem1(run) == theorem1_sweep(m, a, field), m.n
             for d in m.divisors_gt1():
-                assert check_lemma2(m, a, d, field) == lemma2_sweep(m, a, d, field)
-                assert check_lemma3(m, a, d, field) == lemma3_sweep(m, a, d, field)
+                assert check_lemma2(run, d) == lemma2_sweep(m, a, d, field)
+                assert check_lemma3(run, d) == lemma3_sweep(m, a, d, field)
 
 
 def flipped(seq: Period, positions) -> Period:
@@ -283,11 +292,11 @@ def test_flipped_period_fails_theorem1_and_lemma4_like_the_sweep(monkeypatch):
         flips += [orbit_of(m.n, rep) for rep in h_orbits(m.n).reps[1:]]
         for positions in flips:
             patch_generate(monkeypatch, lambda n: positions)
-            got = check_theorem1(m, a, field)
+            got = check_theorem1(CheckRun(m, a, field))
             assert got == theorem1_sweep(m, a, field), (m.n, positions)
             assert got.applicable and got.holds is False, (m.n, positions)
             if m.t == 2:
-                got = check_lemma4(m, field)
+                got = check_lemma4(CheckRun(m, a, field))
                 assert got == lemma4_sweep(m, field), (m.n, positions)
                 assert got.holds is False, (m.n, positions)
             monkeypatch.undo()
@@ -302,7 +311,7 @@ def test_flipped_orbit_reports_pairing_witness_through_reduced_spectra(monkeypat
     a = VectorAssignment.default(m)
     seq = sequence.generate(m, a)
     assert spectrum([i for i in range(m.n) if seq.packed >> i & 1], field).reduced
-    got = check_theorem1(m, a, field)
+    got = check_theorem1(CheckRun(m, a, field))
     assert got == theorem1_sweep(m, a, field)
     assert got.witness.startswith("pairing fails at v=")
 
@@ -341,10 +350,11 @@ def test_tampered_class_fails_lemma2_and_lemma3_like_the_sweep(monkeypatch, m, t
     monkeypatch.setattr(oracles, "classes_by_root", tampered_oracle)
     field = build_field(m.n)
     a = VectorAssignment.default(m)
-    got3 = check_lemma3(m, a, target, field)
+    run = CheckRun(m, a, field)
+    got3 = check_lemma3(run, target)
     assert got3 == lemma3_sweep(m, a, target, field)
     assert got3.holds is False and got3.witness.startswith("mismatch at v=")
-    got2 = check_lemma2(m, a, target, field)
+    got2 = check_lemma2(run, target)
     assert got2 == lemma2_sweep(m, a, target, field)
     if tamper is swap_first:
         assert got2.holds is False

@@ -12,6 +12,7 @@ from dhseq.lincomp import Spectrum, lincomp_bm, spectral_values
 from dhseq.numtheory import order_of_two, validate_modulus
 from dhseq.sequence import delta, generate
 from dhseq.theorems import (
+    CheckRun,
     CheckVerdict,
     check_corollary,
     check_lemma1,
@@ -36,15 +37,20 @@ M21 = validate_modulus([(3, 1), (7, 1)])
 M9 = validate_modulus([(3, 2)])
 
 
+def default_run(m, field=None):
+    """A fresh run under the default assignment."""
+    return CheckRun(m, VectorAssignment.default(m), field)
+
+
 def test_lemma1_d7_by_hand():
     # combined root of 21 is 17, and 17 mod 7 = 3; 3 * {1,2,4} = {3,6,5} mod 7
     assert {3 * x % 7 for x in (1, 2, 4)} == {3, 5, 6}
-    v = check_lemma1(M21, 7, (1,))
+    v = check_lemma1(default_run(M21), 7)
     assert v.applicable and v.holds
 
 
 def test_lemma1_even_sum_not_applicable():
-    v = check_lemma1(M21, 21, (1, 1))
+    v = check_lemma1(CheckRun(M21, VectorAssignment.from_overrides(M21, {21: (1, 1)}), None), 21)
     assert not v.applicable and v.holds is None
 
 
@@ -54,41 +60,40 @@ def test_lemma1_d21_bruteforce():
     g = 17 % 21
     assert {g * x % 21 for x in d0} == set(d1)
     assert {g * x % 21 for x in d1} == set(d0)
-    v = check_lemma1(M21, 21, (0, 1))
+    v = check_lemma1(CheckRun(M21, VectorAssignment.from_overrides(M21, {21: (0, 1)}), None), 21)
     assert v.applicable and v.holds
 
 
 def test_lemma1_sweep_default_assignment():
     for m in valid_moduli(300):
-        a = VectorAssignment.default(m)
+        run = default_run(m)
         for d in m.divisors_gt1():
-            v = check_lemma1(m, d, a.vector_for(d))
+            v = check_lemma1(run, d)
             assert v.applicable and v.holds, (m.n, d)
 
 
 def test_lemma1_witness_when_the_root_does_not_swap(monkeypatch):
     monkeypatch.setattr(theorems.numtheory, "combined_root", lambda modulus: 1)
-    v = check_lemma1(M21, 7, (1,))
+    v = check_lemma1(default_run(M21), 7)
     assert v.applicable and v.holds is False
     assert v.witness == "g=1 does not swap the classes of 7"
 
 
 def test_lemma2_witness_when_an_orbit_value_flips():
     a = VectorAssignment.default(M21)
-    field = build_field(21)
-    memo = theorems._DivisorMemo(M21, a, field)
-    s1 = memo.spectrum(21, 1)
+    run = CheckRun(M21, a, build_field(21))
+    s1 = run.spectrum(21, 1)
     values = list(s1.values)
     values[1] ^= 1
-    memo._spectra[21, 1] = Spectrum(s1.reduced, s1.reps, tuple(values), s1.labels)
-    v = check_lemma2(M21, a, 21, field, memo)
+    run._spectra[21, 1] = Spectrum(s1.reduced, s1.reps, tuple(values), s1.labels)
+    v = check_lemma2(run, 21)
     assert v.applicable and v.holds is False
     assert v.witness.startswith("evaluation form fails at v=")
 
 
 def test_lemma2_n21_d7_field():
     a = VectorAssignment.default(M21)
-    v = check_lemma2(M21, a, 7, build_field(21))
+    v = check_lemma2(CheckRun(M21, a, build_field(21)), 7)
     assert v.applicable and v.holds
 
 
@@ -96,13 +101,13 @@ def test_lemma2_set_form_n9_d3():
     # 3*D1 mod 9 = {6}; multiplying by the combined root 2: 2*6 = 12 = 3 mod 9 = 3*D0
     assert {2 * 6 % 9} == {3}
     a = VectorAssignment.default(M9)
-    v = check_lemma2(M9, a, 3, None)
+    v = check_lemma2(CheckRun(M9, a, None), 3)
     assert v.applicable and v.holds
 
 
 def test_lemma2_even_sum_not_applicable():
     a = VectorAssignment.from_overrides(M21, {21: (1, 1)})
-    v = check_lemma2(M21, a, 21, None)
+    v = check_lemma2(CheckRun(M21, a, None), 21)
     assert not v.applicable
 
 
@@ -124,7 +129,7 @@ def test_lemma2_oracle_horner_n21():
 
 
 def test_theorem1_n21_default():
-    v = check_theorem1(M21, VectorAssignment.default(M21), build_field(21))
+    v = check_theorem1(default_run(M21, build_field(21)))
     assert v.applicable and v.holds
     seq = generate(M21, VectorAssignment.default(M21))
     assert lincomp_bm(seq) >= (21 + 1) // 2 - delta(21)
@@ -135,13 +140,13 @@ def test_theorem1_n15_bound_includes_delta():
     seq = generate(m, VectorAssignment.default(m))
     assert delta(15) == 1
     assert lincomp_bm(seq) >= 8 - 1
-    v = check_theorem1(m, VectorAssignment.default(m), build_field(15))
+    v = check_theorem1(default_run(m, build_field(15)))
     assert v.applicable and v.holds
 
 
 def test_theorem1_even_sum_not_applicable():
     a = VectorAssignment.from_overrides(M21, {21: (1, 1)})
-    v = check_theorem1(M21, a)
+    v = check_theorem1(CheckRun(M21, a, None))
     assert not v.applicable
 
 
@@ -161,7 +166,7 @@ def test_corollary_n9():
     # 2 generates Z_9* (order 6) and delta(9) = 0, so L must be 9
     orders = {x: next(k for k in range(1, 7) if pow(x, k, 9) == 1) for x in (2,)}
     assert orders[2] == 6
-    v = check_corollary(M9, VectorAssignment.default(M9))
+    v = check_corollary(default_run(M9))
     assert v.applicable and v.holds
     seq = generate(M9, VectorAssignment.default(M9))
     assert lincomp_bm(seq) == 9
@@ -170,17 +175,17 @@ def test_corollary_n9():
 def test_corollary_not_applicable_n21():
     # order of 2 mod 7 is 3, not 6
     assert order_of_two(7) == 3
-    v = check_corollary(M21, VectorAssignment.default(M21))
+    v = check_corollary(default_run(M21))
     assert not v.applicable
 
 
 def test_corollary_n5_and_n3():
     m5 = validate_modulus([(5, 1)])
-    v = check_corollary(m5, VectorAssignment.default(m5))
+    v = check_corollary(default_run(m5))
     assert v.applicable and v.holds
     assert lincomp_bm(generate(m5, VectorAssignment.default(m5))) == 5
     m3 = validate_modulus([(3, 1)])
-    v = check_corollary(m3, VectorAssignment.default(m3))
+    v = check_corollary(default_run(m3))
     assert v.applicable and v.holds  # L = 3 - delta(3) = 2
 
 
@@ -216,13 +221,13 @@ def test_crt_split_n105_d15():
 
 def test_lemma3_n21():
     field = build_field(21)
-    top = VectorAssignment.all_ones_top(M21)
-    assert check_lemma3(M21, top, 21, field).holds
-    default = VectorAssignment.default(M21)
-    assert check_lemma3(M21, default, 21, field).holds
+    top = CheckRun(M21, VectorAssignment.all_ones_top(M21), field)
+    assert check_lemma3(top, 21).holds
+    default = default_run(M21, field)
+    assert check_lemma3(default, 21).holds
     # prime divisor: the identity degenerates to a reindexing of the same set
-    assert check_lemma3(M21, default, 7, field).holds
-    assert check_lemma3(M21, default, 3, field).holds
+    assert check_lemma3(default, 7).holds
+    assert check_lemma3(default, 3).holds
 
 
 def test_lemma3_n105():
@@ -230,8 +235,9 @@ def test_lemma3_n105():
     field = build_field(105)
     for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
         a = make(m)
+        run = CheckRun(m, a, field)
         for d in (35, 105, 15):
-            assert check_lemma3(m, a, d, field).holds, (d, a.spec_string())
+            assert check_lemma3(run, d).holds, (d, a.spec_string())
 
 
 def parity_pass_cases():
@@ -281,7 +287,7 @@ def test_parity_pass_without_the_swap_disagrees(monkeypatch):
     # and the lemma check built on it fails
     monkeypatch.setattr(theorems, "_odd_tuple_sum", pass_without_swap)
     m = validate_modulus([(3, 1), (5, 1), (7, 1)])
-    got = check_lemma3(m, VectorAssignment.all_ones_top(m), 105, build_field(105))
+    got = check_lemma3(CheckRun(m, VectorAssignment.all_ones_top(m), build_field(105)), 105)
     assert got.holds is False and got.witness.startswith("mismatch at v=")
 
 
@@ -301,14 +307,16 @@ def test_lemma3_split_forms_coincide():
 
 
 def test_lemma4_cases():
+    # each run has the default assignment: lemma4 generates its own
+    # all-ones-top period and must not read the run's
     field21 = build_field(21)
-    v = check_lemma4(M21, field21)
+    v = check_lemma4(default_run(M21, field21))
     assert v.applicable and v.holds  # both primes 3 mod 4: spectrum 0 on units
     m15 = validate_modulus([(3, 1), (5, 1)])
-    v = check_lemma4(m15, build_field(15))
+    v = check_lemma4(default_run(m15, build_field(15)))
     assert v.applicable and v.holds  # 5 = 1 mod 4: spectrum 1 on units
     m33 = validate_modulus([(3, 1), (11, 1)])
-    v = check_lemma4(m33, build_field(33))
+    v = check_lemma4(default_run(m33, build_field(33)))
     assert v.applicable and v.holds
 
 
@@ -328,11 +336,13 @@ def test_lemma4_spectrum_values_direct():
 
 
 def test_lemma4_not_applicable_shapes():
-    assert not check_lemma4(M9, build_field(9)).applicable
+    assert not check_lemma4(default_run(M9, build_field(9))).applicable
     m105 = validate_modulus([(3, 1), (5, 1), (7, 1)])
-    assert not check_lemma4(m105, build_field(105)).applicable
+    assert not check_lemma4(default_run(m105, build_field(105))).applicable
     # without a field even a two-prime n cannot be decided
-    assert check_lemma4(M21, None) == CheckVerdict("lemma4", False, None, "field unavailable")
+    assert check_lemma4(default_run(M21)) == CheckVerdict(
+        "lemma4", False, None, "field unavailable"
+    )
 
 
 def test_predicted_L_examples():
@@ -381,9 +391,7 @@ def test_all_checks_shapes():
         CheckVerdict(f"lemma3(d={d})", False, None, "field unavailable")
         for d in M21.divisors_gt1()
     ]
-    assert lemma3 == [
-        check_lemma3(M21, VectorAssignment.default(M21), d, None) for d in M21.divisors_gt1()
-    ]
+    assert lemma3 == [check_lemma3(default_run(M21), d) for d in M21.divisors_gt1()]
 
 
 @pytest.mark.parametrize(
@@ -405,7 +413,11 @@ def test_all_checks_generates_and_measures_gcd_once(monkeypatch, factors, overri
     else:
         assignment = VectorAssignment.default(m)
     field = build_field(m.n)
-    separate = [check_theorem1(m, assignment, field), check_corollary(m, assignment)]
+    # each on a fresh run
+    separate = [
+        check_theorem1(CheckRun(m, assignment, field)),
+        check_corollary(CheckRun(m, assignment, field)),
+    ]
     calls = Counter()
 
     def counted(module, attr):
@@ -442,10 +454,11 @@ def test_all_checks_builds_each_class_pair_once(monkeypatch, factors, overrides,
     assignment = VectorAssignment.parse_spec(m, overrides or "")
     field = build_field(m.n) if with_field else None
     divisors = m.divisors_gt1()
-    separate = [check_lemma1(m, d, assignment.vector_for(d)) for d in divisors]
-    separate += [check_lemma2(m, assignment, d, field) for d in divisors]
+    # each on a fresh run
+    separate = [check_lemma1(CheckRun(m, assignment, field), d) for d in divisors]
+    separate += [check_lemma2(CheckRun(m, assignment, field), d) for d in divisors]
     if field is not None:
-        separate += [check_lemma3(m, assignment, d, field) for d in divisors]
+        separate += [check_lemma3(CheckRun(m, assignment, field), d) for d in divisors]
     calls = []
     real = cyclotomy.generalized_classes
 
@@ -522,7 +535,8 @@ def test_all_checks_lemma1_builds_odd_sum_pairs_and_no_period(monkeypatch):
         ("generalized_classes", (m.divisor_factorization(d), assignment.vector_for(d)))
         for d in odd
     ]
-    assert verdicts == [check_lemma1(m, d, assignment.vector_for(d)) for d in m.divisors_gt1()]
+    run = CheckRun(m, assignment, None)
+    assert verdicts == [check_lemma1(run, d) for d in m.divisors_gt1()]
 
 
 def test_all_checks_corollary_alone_generates_no_period_where_it_does_not_apply(monkeypatch):
@@ -533,7 +547,7 @@ def test_all_checks_corollary_alone_generates_no_period_where_it_does_not_apply(
     _count_calls(monkeypatch, lincomp, "lincomp_gcd", calls)
     assignment = VectorAssignment.default(M21)
     verdicts = theorems.all_checks(M21, assignment, None, check="corollary")
-    assert verdicts == [check_corollary(M21, assignment)]
+    assert verdicts == [check_corollary(CheckRun(M21, assignment, None))]
     assert verdicts[0].witness == "2 is not a primitive root modulo 7"
     assert calls == []
 
@@ -541,3 +555,38 @@ def test_all_checks_corollary_alone_generates_no_period_where_it_does_not_apply(
 def test_all_checks_rejects_an_unknown_check():
     with pytest.raises(ValueError, match="lemma5"):
         theorems.all_checks(M21, VectorAssignment.default(M21), None, check="lemma5")
+
+
+def test_check_run_builds_nothing_until_a_check_reads_it(monkeypatch):
+    from dhseq import cyclotomy, lincomp, sequence
+
+    calls = []
+    _count_calls(monkeypatch, sequence, "generate", calls)
+    _count_calls(monkeypatch, cyclotomy, "generalized_classes", calls)
+    _count_calls(monkeypatch, lincomp, "lincomp_gcd", calls)
+    _count_calls(monkeypatch, lincomp, "spectrum", calls)
+    m = validate_modulus([(3, 1), (5, 1), (7, 1)])
+    CheckRun(m, VectorAssignment.default(m), build_field(m.n))
+    assert calls == []
+
+
+def test_theorem1_and_corollary_on_one_run_measure_once(monkeypatch):
+    # at 3^2*5 both apply, and the second reads the first one's period and L
+    from collections import Counter
+
+    from dhseq import lincomp, sequence
+
+    calls = []
+    _count_calls(monkeypatch, sequence, "generate", calls)
+    _count_calls(monkeypatch, lincomp, "lincomp_gcd", calls)
+    m = validate_modulus([(3, 2), (5, 1)])
+    run = default_run(m)
+    assert check_theorem1(run).holds and check_corollary(run).holds
+    assert Counter(attr for attr, _ in calls) == Counter(generate=1, lincomp_gcd=1)
+
+
+@pytest.mark.parametrize("other_n", [35, 15])
+def test_check_run_refuses_a_field_for_another_n(other_n):
+    # a field for 35 gave wrong verdicts at 21, and one for 15 an IndexError
+    with pytest.raises(ValueError, match=f"field is for n={other_n}, modulus has n=21"):
+        default_run(M21, build_field(other_n))
