@@ -38,12 +38,10 @@ def lincomp_gcd(seq) -> int:
     return n - zero_count
 
 
-# A reducible block whose S_d is a union of H-orbits takes the rank route
-# when d >= _RANK_FLOOR; any other reducible block runs Euclid. The floor is
-# measured: with every reducible block on the rank route, lincomp_gcd took
-# about 1.6 times as long over the 995 survey periods (n <= 2000) and 2.4
-# times as long over the 12 verify periods (to 3309), on a 2-vCPU host with
-# Python 3.11. 4608 lies above every block of those.
+# The rank route starts at d = _RANK_FLOOR: with every reducible block on
+# it, lincomp_gcd took 1.6 times as long over the 995 survey periods (n <=
+# 2000) and 2.4 times over the 12 verify periods (to 3309), on a 2-vCPU
+# host with Python 3.11. 4608 lies above every block of those.
 _RANK_FLOOR = 4608
 
 
@@ -52,23 +50,24 @@ def block_zero_counts(packed: int, n: int) -> dict[int, int]:
 
     x^n + 1 is squarefree for odd n, so these sum to deg gcd(S, x^n + 1).
     S_d = S mod (x^d + 1) is folded from S_dp for a prime p, largest d
-    first; the counts are then taken smallest d first, each block by the
-    cheapest exact route:
+    first; then each block, smallest d first, takes the cheapest exact route:
 
     - block 1 is the parity of S;
-    - when ord_d(2) = phi(d), Phi_d is irreducible, and the block needs only
-      a zero test of S_d mod Phi_d (gf2poly.cyclotomic_mod, O(d) bit work);
+    - a zero test when S vanishes at every primitive d-th root of unity or
+      at none: when Phi_d is irreducible (ord_d(2) = phi(d), so d = p^l),
+      or when d = p^l < _RANK_FLOOR, S_d is a union of H-orbits
+      (numtheory.orbit_bits) and p = +-3 (mod 8), so that 2 is a nonsquare
+      and the Frobenius and H generate Z_d*. As Phi_d(x) = Phi_p(x^w),
+      w = p^(l-1), Phi_d divides S_d exactly when its p w-bit chunks agree;
     - when Phi_d is reducible, d >= _RANK_FLOOR and S_d is a union of
-      H-orbits of Z_d, orbit_kernel counts K(d), the H-orbits of d-th roots
-      of unity where S vanishes. Those of order e | d number z(e) = count(e) *
-      2^omega(e) / phi(e), so the block count is (K(d) - the sum of z(e)
-      over e | d, e < d) * phi(d) / 2^omega(d);
-    - otherwise Euclid runs on (S_d mod Phi_d, Phi_d) against the dense
-      Phi_d.
+      H-orbits, orbit_kernel counts K(d), the H-orbits of d-th roots of
+      unity where S vanishes. Those of order e | d number z(e) = count(e) *
+      2^omega(e) / phi(e), so the count is (K(d) - the sum of z(e) over
+      e | d, e < d) * phi(d) / 2^omega(d);
+    - otherwise Euclid runs on (S_d mod Phi_d, Phi_d).
 
-    Each irreducible factor of Phi_d has degree ord_d(2), so a count that
-    is no multiple of it, or falls outside [0, phi(d)], raises
-    MethodDisagreement.
+    Each irreducible factor of Phi_d has degree ord_d(2), so a count that is
+    no multiple of it, or falls outside [0, phi(d)], raises MethodDisagreement.
     """
     factors = numtheory.factorize(n)
     primes = [p for p, _ in factors]
@@ -84,18 +83,21 @@ def block_zero_counts(packed: int, n: int) -> dict[int, int]:
         dfactors, order = blocks[d]
         phi = math.prod(p ** (l - 1) * (p - 1) for p, l in dfactors)
         size = phi >> len(dfactors)  # phi(d) / 2^omega(d), one H-orbit of units
+        s, (p, l) = folded[d], dfactors[0]
         kernel = None
         if order != phi and d >= _RANK_FLOOR:
-            kernel = orbit_kernel(folded[d], d, dfactors)
+            kernel = orbit_kernel(s, d, dfactors)
         if kernel is not None:
             count = (kernel - sum(z for e, z in orbit_zeros.items() if d % e == 0)) * size
+        elif order == phi or (
+            d == p**l < _RANK_FLOOR and p % 8 in (3, 5) and numtheory.orbit_bits(s, dfactors)
+        ):
+            w = d // p
+            count = phi if s == numtheory.repeat_bits(s & ((1 << w) - 1), w, d) else 0
         else:
             dprimes = [p for p, _ in dfactors]
-            r = gf2poly.cyclotomic_mod(folded[d], d, dprimes)
-            if order == phi:
-                count = 0 if r else phi
-            else:
-                count = gf2poly.degree(gf2poly.gcd(r, gf2poly.cyclotomic(d, dprimes)))
+            r = gf2poly.cyclotomic_mod(s, d, dprimes)
+            count = gf2poly.degree(gf2poly.gcd(r, gf2poly.cyclotomic(d, dprimes)))
         if count % order or not 0 <= count <= phi:
             raise MethodDisagreement(
                 f"block Phi_{d} has {count} common roots, not a multiple of"
@@ -124,61 +126,42 @@ def orbit_kernel(s: int, d: int, factors) -> int | None:
     power q || d, and |O & (c + A)| is the product over q of the counts in
     Z_q. So the matrix is the xor, over the orbits O of S_d, of the
     Kronecker products of the q-tables numtheory.label_sum_parities gives
-    at the labels of O. It is summed over a trie of the orbits, one level
-    per prime power: each prefix takes the Kronecker product of its
-    table with the sum over its subtrie.
-
-    The only d-bit work is the hit test. Each label's mask is its tile
-    from numtheory.label_tiles repeated to d bits, and a prefix's mask is
-    the AND of its labels' masks. A prefix that misses S_d is pruned; an
-    orbit that meets S_d in part (the test lincomp.spectrum makes) ends the
-    route.
+    at the labels of O, summed over a trie with one level per prime power.
+    The only d-bit work is numtheory.orbit_bits, which ends the route when
+    an orbit meets S_d in part (the test lincomp.spectrum makes).
     """
-    k = math.prod(2 * l + 1 for _, l in factors)
-    w, levels = k, []
+    bits = numtheory.orbit_bits(s, factors)
+    if bits is None:
+        return None
+    w, levels = len(bits), []
     for p, l in factors:
-        tiles = [
-            numtheory.repeat_bits(tile, period, d) for tile, period in numtheory.label_tiles(p, l)
-        ]
-        # w is the width of a row of the levels below. Bit a of row c of a
-        # label's table is spread to bit a * w: the Kronecker product with a
-        # w-bit row r, the xor of r << a * w, is then r times the spread row
+        # w is the row width of the levels below and this label's stride in
+        # bits. Bit a of row c of a label's table is spread to bit a * w, so
+        # the Kronecker product with a w-bit row r is r times the spread row
         w //= 2 * l + 1
         steps = [1 << a * w for a in range(2 * l + 1)]
         tables = [
-            [sum(step for a, step in enumerate(steps) if bits >> a & 1) for bits in rows]
+            [sum(step for a, step in enumerate(steps) if row >> a & 1) for row in rows]
             for rows in numtheory.label_sum_parities(p, l)
         ]
-        levels.append((tiles, tables, w))
-    rows = _orbit_rows(s, levels, 0, (1 << d) - 1)
-    return None if rows is None else k - gf2poly.rank(rows)
-
-
-def _orbit_rows(s: int, levels, j: int, mask: int) -> list[int] | None:
-    """The rows of the sum over the orbits of S_d = s below a trie prefix
-    that fixes the labels of prime powers 0..j-1, whose masks AND to mask:
-    [] when there are none, None when one meets S_d in part. levels[j]
-    holds the label tiles, the spread tables and the row width w of prime
-    power j (orbit_kernel)."""
-    if j == len(levels):
-        hit = s & mask
-        if hit and hit != mask:
-            return None
-        return [1] if hit else []
-    if not s & mask:
-        return []
-    tiles, tables, w = levels[j]
-    total = [0] * (len(tiles) * w)
-    for tile, table in zip(tiles, tables):
-        rest = _orbit_rows(s, levels, j + 1, mask & tile)
-        if rest is None:
-            return None
-        if rest:
-            for c, spread in enumerate(table):
-                if spread:
-                    for i, r in enumerate(rest, c * w):
-                        total[i] ^= r * spread
-    return total
+        levels.append((tables, w))
+    # the sums below each trie node, from the leaves (one orbit's bit each)
+    # up: a node adds, over its labels whose sum below is not zero, the
+    # Kronecker product of the label's table with that sum
+    sums = [[bit] for bit in bits]
+    for tables, w in reversed(levels):
+        size, below = len(tables), sums
+        sums = []
+        for node in range(0, len(below), size):
+            total = [0] * (size * w)
+            for table, rest in zip(tables, below[node : node + size]):
+                if any(rest):
+                    for c, spread in enumerate(table):
+                        if spread:
+                            for i, r in enumerate(rest, c * w):
+                                total[i] ^= r * spread
+            sums.append(total)
+    return len(bits) - gf2poly.rank(sums[0])
 
 
 class Spectrum:

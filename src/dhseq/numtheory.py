@@ -184,29 +184,30 @@ def combined_root(modulus: Modulus) -> int:
     return crt_combine([primitive_root(p, e) for p, e in modulus.factors], modulus)
 
 
+def _orders_of_two(p: int, e: int) -> list[int]:
+    """ord_(p^l)(2) for l = 0..e, p an odd prime: p - 1 with each prime
+    r | p - 1 divided out while 2^(t/r) = 1 (mod p) for what is left, t,
+    then t or t * p at each p^l, as 2^t = 1 (mod p^l) or not (the units 1
+    mod p^(l-1) form a group of order p; t stays at Wieferich primes)."""
+    t = p - 1
+    for r, _ in factorize(p - 1):
+        while t % r == 0 and pow(2, t // r, p) == 1:
+            t //= r
+    orders = [1, t]
+    for l in range(2, e + 1):
+        if pow(2, t, p**l) != 1:
+            t *= p
+        orders.append(t)
+    return orders
+
+
 def divisor_blocks(factors) -> dict[int, tuple[tuple[tuple[int, int], ...], int]]:
     """Every d | n, n odd and given by its (prime, exponent) pairs, mapped to
-    the pairs of d and ord_d(2).
-
-    Per prime p, ord_p(2) is p - 1 with each prime r | p - 1 divided out
-    while 2^(t/r) = 1 (mod p) for what is left, t. Going from p^(l-1) to
-    p^l the order stays t when 2^t = 1 (mod p^l), else it is t * p: the units
-    that are 1 mod p^(l-1) form a group of order p. It stays from p to p^2
-    only at the Wieferich primes, 1093 and 3511 among them. ord_d(2) is the
-    lcm over the prime powers of d, so the only numbers factored are the
-    p - 1.
-    """
+    the pairs of d and ord_d(2), the lcm of _orders_of_two over the prime
+    powers of d."""
     blocks = {1: ((), 1)}
     for p, e in factors:
-        t = p - 1
-        for r, _ in factorize(p - 1):
-            while t % r == 0 and pow(2, t // r, p) == 1:
-                t //= r
-        orders = [1, t]
-        for l in range(2, e + 1):
-            if pow(2, t, p**l) != 1:
-                t *= p
-            orders.append(t)
+        orders = _orders_of_two(p, e)
         blocks = {
             d * p**l: (f + ((p, l),), math.lcm(order, orders[l])) if l else (f, order)
             for d, (f, order) in blocks.items()
@@ -219,7 +220,7 @@ def order_of_two(n: int) -> int:
     """Multiplicative order of 2 modulo odd n > 1 (the extension degree)."""
     if n <= 1 or n % 2 == 0:
         raise ValueError("n must be odd and > 1")
-    return divisor_blocks(factorize(n))[n][1]
+    return math.lcm(*(_orders_of_two(p, e)[e] for p, e in factorize(n)))
 
 
 # a period asks for its few primes again on every orbit or class call; a
@@ -313,6 +314,69 @@ def repeat_bits(x: int, w: int, width: int) -> int:
     if w < width:
         x |= (x & ((1 << (width - w)) - 1)) << w
     return x
+
+
+def orbit_union(factors, bits) -> int:
+    """The d-bit union of the H-orbits of Z_d, d = prod p_j^l_j, whose bit
+    is 1: orbit (b_j), b_j a label of prime_power_labels(p_j, l_j), has bit
+    bits[sum of b_j * stride_j], stride_j = prod of 2 l_i + 1 over i > j.
+    By CRT an orbit is the AND of its labels' tiles (label_tiles)."""
+    if not factors:
+        return bits[0]
+    # per prime p_j: the width below it and, by valuation v, the width at
+    # which the labels of v join (label 0 with the last), with their tiles
+    levels, below, stride = [], 1, len(bits)
+    for p, l in factors:
+        stride //= 2 * l + 1
+        tiles = label_tiles(p, l)
+        steps, width = [], below
+        for v in range(l):
+            width *= p
+            labels = [(b * stride, repeat_bits(*tiles[b], width)) for b in (2 * v + 1, 2 * v + 2)]
+            steps.append((width, labels))
+        steps[-1][1].append((0, repeat_bits(*tiles[0], width)))
+        levels.append((below, steps))
+        below = width
+    return _union_bits(levels, bits, len(factors) - 1, 0)
+
+
+def _union_bits(levels, bits, j: int, k: int) -> int:
+    """The union over Z_W, W = p_0^l_0 ... p_j^l_j, with the labels above
+    p_j fixed, k the sum of their offsets in bits: each label of p_j adds
+    its child (at j = 0 the orbit's bit) repeated and ANDed with its tile.
+    Labels join by increasing valuation v, the sum widened to the period
+    below * p_j^(v+1) of their tiles, so only the root works at d bits."""
+    below, steps = levels[j]
+    acc, w = 0, below
+    for width, labels in steps:
+        if acc:
+            acc = repeat_bits(acc, w, width)
+        w = width
+        for offset, tile in labels:
+            if j:
+                child = _union_bits(levels, bits, j - 1, k + offset)
+                if child:
+                    acc |= repeat_bits(child, below, width) & tile
+            elif bits[k + offset]:
+                acc |= tile
+    return acc
+
+
+def orbit_bits(s: int, factors) -> list[int] | None:
+    """The bits with orbit_union(factors, bits) == s, read off s at one
+    member per orbit, or None when s is no union of H-orbits of Z_d. The
+    member is the CRT lift of 0 for label 0 and p^v u for label 1 + 2 v + c,
+    u = 1 for c = 0 and the least nonsquare modulo p for c = 1."""
+    d = math.prod(p**l for p, l in factors)
+    members = [0]
+    for p, l in factors:
+        lift = d // p**l * pow(d // p**l, -1, p**l)
+        u = nonsquare_table(p).index(1)
+        xs = [0] + [p**v * c for v in range(l) for c in (1, u)]
+        members = [(m + x * lift) % d for m in members for x in xs]
+    data = s.to_bytes(d // 8 + 1, "little")
+    bits = [data[m >> 3] >> (m & 7) & 1 for m in members]
+    return bits if orbit_union(factors, bits) == s else None
 
 
 def label_sum_parities(p: int, l: int) -> list[list[int]]:

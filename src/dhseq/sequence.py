@@ -3,8 +3,8 @@
 A period is one record, Period(packed, n): bit i of the int packed is s_i,
 and n is the length (zeros at the end of the period are high zero bits,
 which the int itself does not hold). generate and parse_bit_line both
-return one, so equal bits compare equal. generate reads each block's rule
-from block_rules and lays out numtheory.label_tiles with int operations.
+return one, so equal bits compare equal. generate reads each H-orbit's
+bit from block_rules and lays the orbits out with numtheory.orbit_union.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .cyclotomy import VectorAssignment
 from .errors import PeriodTooLarge
-from .numtheory import MAX_PERIOD, Modulus, label_tiles, nonsquare_table, repeat_bits
+from .numtheory import MAX_PERIOD, Modulus, nonsquare_table, orbit_union
 
 
 # a NamedTuple class body may not define __new__, so Period checks its
@@ -73,69 +73,20 @@ def block_rules(modulus: Modulus, assignment: VectorAssignment) -> list[tuple[in
 
 
 def generate(modulus: Modulus, assignment: VectorAssignment) -> Period:
-    """Materialize one period.
-
-    By block_rules, the bit of i depends only on the label of i mod p_j^e_j
-    (numtheory.prime_power_labels) for every j: the valuations fix the block
-    and the chi bits the class. By CRT the period is the OR, over the label
-    tuples whose bit is 1, of the AND of their tiles (numtheory.label_tiles),
-    which _trie_bits sums over a trie of the primes, the largest at the root,
-    so that only the root works at n bits.
-    """
-    factors = modulus.factors
-    # rule[k]: k = sum of l_j * stride_j, stride_j = prod of e_i + 1 over i > j
+    """Materialize one period. By block_rules, the bit of i depends only on
+    the labels of i mod p_j^e_j (numtheory.prime_power_labels), its H-orbit:
+    the valuations fix the block and the chi bits the class. So each orbit
+    gets one bit, and numtheory.orbit_union lays out those set to 1."""
     rule = block_rules(modulus, assignment)
-    # per prime p_j: the width below it (the product of the smaller prime
-    # powers) and, by increasing valuation v, the width below * p_j^(v+1)
-    # at which the labels of valuation v join the sum (label 0 with the
-    # last), each label with its rule offset, chi bit and tile at that width
-    levels, below, stride = [], 1, len(rule)
-    for j, (p, e) in enumerate(factors):
+    # per orbit, built one prime at a time (the last prime's label fastest):
+    # its block's rule offset (sum of l_j * stride_j) and its chi bits
+    orbits, stride = [(0, 0)], len(rule)
+    for j, (p, e) in enumerate(modulus.factors):
         stride //= e + 1
-        tiles = label_tiles(p, e)
-        steps, width = [], below
-        for v in range(e):
-            width *= p
-            labels = [
-                ((e - v) * stride, c << j, repeat_bits(*tiles[2 * v + 1 + c], width))
-                for c in (0, 1)
-            ]
-            steps.append((width, labels))
-        steps[-1][1].append((0, 0, repeat_bits(*tiles[0], width)))
-        levels.append((below, steps))
-        below = width
-    packed = _trie_bits(levels, rule, len(factors) - 1, 0, 0)
-    return Period(packed, modulus.n)
-
-
-def _trie_bits(levels, rule, j: int, k: int, chis: int) -> int:
-    """The bits over Z_W, W = p_0^e_0 ... p_j^e_j, of the period with the
-    labels of p_(j+1), ... fixed: k is the rule offset of their exponents,
-    and chis holds their chi bits.
-
-    Each label of p_j adds its child (the bits over the width below with its
-    label fixed too, or at j = 0 the rule's bit) repeated and ANDed with its
-    tile. The tile of a label of valuation v repeats with period p_j^(v+1),
-    so the labels join by increasing valuation: the sum so far is widened
-    from below * p_j^v to below * p_j^(v+1) bits first, and only the last
-    valuation and label 0 work at the full W.
-    """
-    below, steps = levels[j]
-    acc, w = 0, below
-    for width, labels in steps:
-        if acc:
-            acc = repeat_bits(acc, w, width)
-        w = width
-        for offset, c, tile in labels:
-            if j:
-                child = _trie_bits(levels, rule, j - 1, k + offset, chis | c)
-                if child:
-                    acc |= repeat_bits(child, below, width) & tile
-            else:
-                sel, flip = rule[k + offset]
-                if flip ^ (((chis | c) & sel).bit_count() & 1):
-                    acc |= tile
-    return acc
+        labels = [(0, 0)] + [((e - v) * stride, c << j) for v in range(e) for c in (0, 1)]
+        orbits = [(k + offset, chis | c) for k, chis in orbits for offset, c in labels]
+    bits = [rule[k][1] ^ ((chis & rule[k][0]).bit_count() & 1) for k, chis in orbits]
+    return Period(orbit_union(modulus.factors, bits), modulus.n)
 
 
 def sequence_line(seq: Period) -> str:

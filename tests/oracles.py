@@ -507,6 +507,32 @@ def cyclotomic_by_division(d: int) -> int:
     return q
 
 
+# --- the orbit union index by index ------------------------------------------
+
+
+@functools.cache
+def orbit_labels_by_index(factors: tuple) -> list[int]:
+    """Entry x of Z_d: the index of the label tuple of x, labels read from
+    prime_power_labels at x mod each prime power, the last prime's label
+    fastest (the order of numtheory.orbit_union's bits)."""
+    d = math.prod(p**l for p, l in factors)
+    tables = [numtheory.prime_power_labels(p, l) for p, l in factors]
+    out = []
+    for x in range(d):
+        k = 0
+        for (p, l), table in zip(factors, tables):
+            k = k * (2 * l + 1) + table[x % p**l]
+        out.append(k)
+    return out
+
+
+def orbit_union_by_index(factors, bits) -> int:
+    """numtheory.orbit_union index by index: bit x is the bit of the label
+    tuple of x."""
+    labels = orbit_labels_by_index(tuple(factors))
+    return int("".join(str(bits[k]) for k in reversed(labels)), 2)
+
+
 # --- the rank route before the parity tables ---------------------------------
 
 

@@ -1,5 +1,6 @@
 """The gcd route by cyclotomic blocks against the one-shot Euclid oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -16,12 +17,14 @@ from dhseq.lincomp import (
     orbit_kernel,
 )
 from dhseq.numtheory import (
+    crt_combine,
     divisor_blocks,
     divisors,
     factorize,
     h_orbits,
     is_prime,
     label_sum_parities,
+    orbit_bits,
     validate_modulus,
 )
 from dhseq.sequence import Period, delta, generate
@@ -33,9 +36,11 @@ from oracles import (
     divmod_,
     gcd_by_divmod,
     label_sum_parities_by_count,
+    legendre,
     lincomp_gcd_euclid,
     multiplicative_order,
     orbit_kernel_rotations,
+    orbit_labels_by_index,
 )
 
 
@@ -117,6 +122,12 @@ def test_prime_powers_match_euclid_and_skip_euclid_when_irreducible(n, monkeypat
     m = validate_modulus(factorize(n))
     periods = [generate(m, VectorAssignment.default(m)).packed]
     periods += [rng.getrandbits(n) for _ in range(6)]
+    # p equal chunks of w = n/p bits: a multiple of Phi_n(x) = Phi_p(x^w),
+    # and with one bit flipped no multiple
+    w = n // factorize(n)[0][0]
+    chunks = (rng.getrandbits(w) | 1) * sum(1 << c for c in range(0, n, w))
+    periods += [chunks, chunks ^ 1 << rng.randrange(n)]
+    assert block_zero_counts(chunks, n)[n] == phi(n)
     for packed in periods:
         calls.clear()
         counts = block_zero_counts(packed, n)
@@ -411,6 +422,94 @@ def test_rank_count_guard_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "ord_4643(2) = 422" in captured.err and captured.out == ""
+
+
+# --- one-bit flips and the all-or-none prime-power blocks --------------------
+
+
+def orbit_representative(m, labels):
+    """The member of the orbit with these labels (one per prime power of
+    n) that orbit_bits reads: by CRT, 0 for label 0 and p^v u for label
+    1 + 2 v + c, u = 1 for c = 0 and the least nonsquare mod p for c = 1."""
+    residues = []
+    for (p, _), b in zip(m.factors, labels):
+        if b == 0:
+            residues.append(0)
+        else:
+            v, c = divmod(b - 1, 2)
+            u = next(x for x in range(2, p) if legendre(x, p) == -1) if c else 1
+            residues.append(p**v * u)
+    return crt_combine(residues, m)
+
+
+@pytest.mark.parametrize("factors", [[(3, 1), (5, 1), (7, 1)], [(3, 2), (5, 1), (11, 1)]])
+def test_one_bit_flips_leave_the_rank_route(factors):
+    # every orbit of two or more members, flipped once at the member
+    # orbit_bits reads and once at another: S_n is then no union of
+    # H-orbits, and L comes from Euclid
+    m = validate_modulus(factors)
+    n = m.n
+    packed = generate(m, VectorAssignment.default(m)).packed
+    members = {}
+    for x, k in enumerate(orbit_labels_by_index(m.factors)):
+        members.setdefault(k, []).append(x)
+    # label tuples in the order of their index in bits, the last fastest
+    for k, orbit in enumerate(itertools.product(*(range(2 * e + 1) for _, e in m.factors))):
+        if len(members[k]) < 2:
+            continue
+        rep = orbit_representative(m, orbit)
+        assert rep in members[k]
+        for x in (rep, next(x for x in members[k] if x != rep)):
+            flipped = Period(packed ^ (1 << x), n)
+            assert orbit_kernel(flipped.packed, n, m.factors) is None, (n, orbit, x)
+            assert lincomp_gcd(flipped) == lincomp_gcd_euclid(flipped), (n, orbit, x)
+
+
+def all_or_none_blocks(n):
+    """The blocks d = p^l | n below the rank floor with Phi_d reducible and
+    p = +-3 (mod 8): an S_d that is a union of H-orbits vanishes at all or
+    none of the primitive d-th roots of unity."""
+    return [
+        d
+        for d, (dfactors, order) in divisor_blocks(factorize(n)).items()
+        if len(dfactors) == 1 and dfactors[0][0] % 8 in (3, 5) and order != phi(d) and d < 4608
+    ]
+
+
+def test_all_or_none_blocks_make_no_euclid_call_to_2000(monkeypatch):
+    euclid = spy(monkeypatch, gf2poly, "gcd")
+    checked = vanished = 0
+    for m in valid_moduli(2000):
+        blocks = all_or_none_blocks(m.n)
+        cyclotomics = {gf2poly.cyclotomic(d, primes_of(d)) for d in blocks}
+        for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
+            euclid.clear()
+            counts = block_zero_counts(generate(m, make(m)).packed, m.n)
+            assert not cyclotomics & {args[1] for args, _ in euclid}, (m.n, make.__name__)
+            for d in blocks:
+                assert counts[d] in (0, phi(d)), (m.n, d)
+                vanished += counts[d] > 0
+            checked += len(blocks)
+    # 138 (period, block) pairs, and no such block vanishes
+    assert (checked, vanished) == (138, 0)
+
+
+@pytest.mark.parametrize("n, bit", [(43, 1), (129, 3), (43 * 3 * 11, 33)])
+def test_one_bit_flip_in_an_all_or_none_block_falls_back_to_euclid(n, bit, monkeypatch):
+    # bit is a multiple of n/43, so the flip lands in the block of 43
+    m = validate_modulus(factorize(n))
+    packed = generate(m, VectorAssignment.default(m)).packed
+    phi_43 = gf2poly.cyclotomic(43, [43])
+    assert 43 in all_or_none_blocks(n) and orbit_bits(gf2poly.fold(packed, 43), [(43, 1)])
+    euclid = spy(monkeypatch, gf2poly, "gcd")
+    block_zero_counts(packed, n)
+    assert phi_43 not in [args[1] for args, _ in euclid]
+    flipped = packed ^ (1 << bit)
+    assert orbit_bits(gf2poly.fold(flipped, 43), [(43, 1)]) is None
+    euclid.clear()
+    counts = block_zero_counts(flipped, n)
+    assert phi_43 in [args[1] for args, _ in euclid]
+    assert counts == block_counts_euclid(flipped, n)
 
 
 # --- the parity tables ---------------------------------------------------------

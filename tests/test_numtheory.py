@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +21,13 @@ from dhseq.numtheory import (
 )
 
 from conftest import valid_moduli
-from oracles import crt_view, is_prime_miller_rabin, legendre, multiplicative_order
+from oracles import (
+    crt_view,
+    is_prime_miller_rabin,
+    legendre,
+    multiplicative_order,
+    orbit_union_by_index,
+)
 
 
 # Brute-force oracles, deliberately independent of the implementation paths.
@@ -408,3 +415,15 @@ def test_repeat_bits_reads_bit_y_mod_w(x, w, extra):
     width = w + extra
     want = sum(1 << y for y in range(width) if x >> (y % w) & 1)
     assert numtheory.repeat_bits(x, w, width) == want
+
+
+def test_orbit_union_matches_an_index_oracle_to_2000():
+    # seeded random bits per label tuple, plus none and all of them; the
+    # bits read back at one member per orbit are the ones laid out
+    rng = random.Random(2000)
+    for m in valid_moduli(2000):
+        k = math.prod(2 * e + 1 for _, e in m.factors)
+        for bits in ([0] * k, [1] * k, [rng.randrange(2) for _ in range(k)]):
+            s = numtheory.orbit_union(m.factors, bits)
+            assert s == orbit_union_by_index(m.factors, bits), (m.n, bits)
+            assert numtheory.orbit_bits(s, m.factors) == bits, (m.n, bits)

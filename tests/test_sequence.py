@@ -287,8 +287,9 @@ def test_block_rules_follow_their_definition_to_2000():
 
 
 def test_block_rules_give_the_class_of_every_orbit_to_2000():
-    # the rule read at the labels of r as _trie_bits reads it, not through
-    # generate, against the class of r's unit part in its own block
+    # the rule read at the labels of r as generate's per-orbit bit table
+    # reads it, not through generate, against the class of r's unit part in
+    # its own block
     for m, a in _block_rule_cases(2000):
         rules = block_rules(m, a)
         strides = [math.prod(e + 1 for _, e in m.factors[j + 1 :]) for j in range(m.t)]
