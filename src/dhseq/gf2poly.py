@@ -49,14 +49,15 @@ def gcd(a: int, b: int) -> int:
 
 def rank(vectors) -> int:
     """Rank over GF(2) of bit vectors given as ints."""
-    basis: list[int] = []  # distinct leading bits, largest first
+    pivots: dict[int, int] = {}  # leading bit -> the basis vector with it
     for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+        while v:
+            top = v.bit_length()
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
 
 
 def fold(a: int, d: int) -> int:

@@ -40,8 +40,10 @@ def lincomp_gcd(seq) -> int:
 
 # The rank route starts at d = _RANK_FLOOR: with every reducible block on
 # it, lincomp_gcd took 1.6 times as long over the 995 survey periods (n <=
-# 2000) and 2.4 times over the 12 verify periods (to 3309), on a 2-vCPU
-# host with Python 3.11. 4608 lies above every block of those.
+# 2000) and 2.4 times over the 12 verify periods (to 3309); with the pivot
+# rank, floors of 0, 500 and 1000 still cost 1.9, 1.3 and 1.2 times as much
+# over the survey's n (2-vCPU host, Python 3.11). 4608 lies above every
+# block of those. p = +-3 (mod 8) prime powers take the zero test at any d.
 _RANK_FLOOR = 4608
 
 
@@ -55,13 +57,13 @@ def block_zero_counts(packed: int, n: int) -> dict[int, int]:
     - block 1 is the parity of S;
     - a zero test when S vanishes at every primitive d-th root of unity or
       at none: when Phi_d is irreducible (ord_d(2) = phi(d), so d = p^l),
-      or when d = p^l < _RANK_FLOOR, S_d is a union of H-orbits
+      or, at any size, when d = p^l, S_d is a union of H-orbits
       (numtheory.orbit_bits) and p = +-3 (mod 8), so that 2 is a nonsquare
       and the Frobenius and H generate Z_d*. As Phi_d(x) = Phi_p(x^w),
       w = p^(l-1), Phi_d divides S_d exactly when its p w-bit chunks agree;
-    - when Phi_d is reducible, d >= _RANK_FLOOR and S_d is a union of
-      H-orbits, orbit_kernel counts K(d), the H-orbits of d-th roots of
-      unity where S vanishes. Those of order e | d number z(e) = count(e) *
+    - else, when d >= _RANK_FLOOR and S_d is a union of H-orbits,
+      orbit_kernel counts K(d), the H-orbits of d-th roots of unity where
+      S vanishes. Those of order e | d number z(e) = count(e) *
       2^omega(e) / phi(e), so the count is (K(d) - the sum of z(e) over
       e | d, e < d) * phi(d) / 2^omega(d);
     - otherwise Euclid runs on (S_d mod Phi_d, Phi_d).
@@ -83,17 +85,14 @@ def block_zero_counts(packed: int, n: int) -> dict[int, int]:
         dfactors, order = blocks[d]
         phi = math.prod(p ** (l - 1) * (p - 1) for p, l in dfactors)
         size = phi >> len(dfactors)  # phi(d) / 2^omega(d), one H-orbit of units
-        s, (p, l) = folded[d], dfactors[0]
-        kernel = None
-        if order != phi and d >= _RANK_FLOOR:
-            kernel = orbit_kernel(s, d, dfactors)
-        if kernel is not None:
-            count = (kernel - sum(z for e, z in orbit_zeros.items() if d % e == 0)) * size
-        elif order == phi or (
-            d == p**l < _RANK_FLOOR and p % 8 in (3, 5) and numtheory.orbit_bits(s, dfactors)
+        s, p = folded[d], dfactors[0][0]
+        if order == phi or (
+            len(dfactors) == 1 and p % 8 in (3, 5) and numtheory.orbit_bits(s, dfactors)
         ):
             w = d // p
             count = phi if s == numtheory.repeat_bits(s & ((1 << w) - 1), w, d) else 0
+        elif d >= _RANK_FLOOR and (kernel := orbit_kernel(s, d, dfactors)) is not None:
+            count = (kernel - sum(z for e, z in orbit_zeros.items() if d % e == 0)) * size
         else:
             dprimes = [p for p, _ in dfactors]
             r = gf2poly.cyclotomic_mod(s, d, dprimes)
@@ -201,26 +200,33 @@ def _orbit_cover(exps, orbits: numtheory.HOrbits) -> list[int] | None:
     return None
 
 
-def is_orbit_union(exps, orbits: numtheory.HOrbits) -> bool:
-    """Whether a set of distinct exponents in [0, n) meets every H-orbit in
-    all or none of its members."""
-    return _orbit_cover(exps, orbits) is not None
+# a period that is no union of H-orbits (only a raw one can be) costs n
+# evaluations of O(n) each: lincomp took 0.8 s at n = 4095, 3.6 s at 8191
+# and 54 s at 32767 (Python 3.11.7, 2 vCPUs), so the sweep stops
+MAX_FULL_SWEEP = 4095
 
 
 def spectrum(exps, field: BinaryField) -> Spectrum:
     """Evaluate S(alpha^v) for a set of distinct exponents in [0, n).
 
-    When the set is a union of H-orbits (is_orbit_union), S is reduced to
+    When the set is a union of H-orbits (_orbit_cover), S is reduced to
     one value per orbit, built from the field's orbit sums P: multiplying
     by r maps an orbit O = H*o onto the orbit rO of r*o, every member of
     rO hit |O|/|rO| times (the fibres are cosets of the stabiliser of o),
     so S(alpha^r) is the xor of P[rO] over the orbits O of the set with
     |O|/|rO| odd. That is O(k * k_E) small-int work for k orbits, k_E of
-    them in the set. Any other set takes field.subset_eval at all n values.
+    them in the set. Any other set, which only a raw period or a tampered
+    class is, takes field.subset_eval at all n values; above MAX_FULL_SWEEP
+    it raises DHSeqError first, so a lemma check given one exits 2.
     """
     orbits = field.orbits()
     cover = _orbit_cover(exps, orbits)
     if cover is None:
+        if field.n > MAX_FULL_SWEEP:
+            raise DHSeqError(
+                f"the period is not a union of H-orbits, and a full spectral sweep"
+                f" at n={field.n} is refused above n={MAX_FULL_SWEEP}"
+            )
         reps = range(field.n)
         return Spectrum(False, reps, tuple(field.subset_eval(exps, r) for r in reps), reps)
     n, labels, sizes, sums = field.n, orbits.labels, orbits.sizes, field.orbit_sums()
@@ -249,24 +255,12 @@ def common_reps(*spectra: Spectrum) -> Sequence[int]:
     return range(len(spectra[0].labels))
 
 
-# a period that is no union of H-orbits (only a raw one can be) costs n
-# evaluations of O(n) each: lincomp took 0.8 s at n = 4095, 3.6 s at 8191
-# and 54 s at 32767 (Python 3.11.7, 2 vCPUs), so the spectral method stops
-MAX_FULL_SWEEP = 4095
-
-
 def spectral_values(seq, field: BinaryField) -> list[int]:
     """S(alpha^v) for v = 0..n-1. A full sweep above MAX_FULL_SWEEP raises
-    DHSeqError before it starts."""
+    DHSeqError before it starts (spectrum)."""
     if field.n != seq.n:
         raise ValueError(f"field is for n={field.n}, sequence has n={seq.n}")
-    exps = gf2poly.exponents(seq.packed)
-    if seq.n > MAX_FULL_SWEEP and not is_orbit_union(exps, field.orbits()):
-        raise DHSeqError(
-            f"the period is not a union of H-orbits, and a full spectral sweep"
-            f" at n={seq.n} is refused above n={MAX_FULL_SWEEP}"
-        )
-    spec = spectrum(exps, field)
+    spec = spectrum(gf2poly.exponents(seq.packed), field)
     return list(map(spec.values.__getitem__, spec.labels))
 
 

@@ -10,8 +10,9 @@ engine, that engine's per-representative sums from before it read the
 field's orbit sums, the one-shot Euclid the gcd route ran before it split x^n + 1
 into cyclotomic blocks, a per-block Euclid for the blocks the rank route
 counts, the rank route's d-bit matrix build from before the per-prime-power
-parity tables and a count of those tables, the GF(2^m) the spectral route
-used before it was re-based on the minimal polynomial of alpha, the
+parity tables and a count of those tables, a GF(2) rank by elimination on
+0/1 lists, the GF(2^m) the spectral route used before it was re-based on
+the minimal polynomial of alpha, the
 Miller-Rabin primality test the package used before it tested primes by
 factorization, the odd-index-tuple enumeration lemma3 expanded before its
 parity pass, the CRT split weights b_k lemma3 took its per-factor roots
@@ -536,6 +537,24 @@ def orbit_union_by_index(factors, bits) -> int:
 # --- the rank route before the parity tables ---------------------------------
 
 
+def rank_by_elimination(vectors) -> int:
+    """gf2poly.rank by Gauss-Jordan elimination on explicit 0/1 lists,
+    column by column from bit 0, each row a list of its bits."""
+    width = max((v.bit_length() for v in vectors), default=0)
+    rows = [[v >> i & 1 for i in range(width)] for v in vectors]
+    rank = 0
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def orbit_kernel_rotations(s: int, d: int, factors) -> int | None:
     """lincomp.orbit_kernel by d-bit work: entry (c, A) of the matrix is
     the parity of |S_d & (c + A)|, one rotate and popcount of the orbit
@@ -595,7 +614,10 @@ def spectrum_by_subset_eval(exps, field) -> lincomp.Spectrum:
     set, per representative: the orbit minima when the set is a union of
     H-orbits, every v otherwise."""
     orbits = field.orbits()
-    if lincomp.is_orbit_union(exps, orbits):
+    members = [0] * len(orbits.sizes)  # how many of each orbit's members the set holds
+    for e in exps:
+        members[orbits.labels[e]] += 1
+    if all(count in (0, size) for count, size in zip(members, orbits.sizes)):
         reduced, reps, labels = True, orbits.reps, orbits.labels
     else:
         reduced, reps, labels = False, range(field.n), range(field.n)

@@ -258,14 +258,14 @@ def spy(monkeypatch, module, name):
     return calls
 
 
-# The rank route takes every reducible block of 4608 or more;
-# RANK_ROUTE_BLOCKS lists them by n. Phi_4643 is reducible: ord_4643(2) =
-# 422, and its orbit size 2321 is no multiple of 422, so an off-by-one
-# kernel breaks the guard. Of 131*317 only the top block is that large; of
-# 7^6 the blocks 7^5 and 7^6 are, and every Phi_7^l is reducible
+# The rank route takes every reducible block of 4608 or more but the prime
+# powers p^l with p = +-3 (mod 8); RANK_ROUTE_BLOCKS lists them by n. Of
+# 131*317 only the top block is that large: ord_41527(2) = 20540, and its
+# orbit size 10270 is no multiple of it, so an off-by-one kernel breaks the
+# guard. Of 7^6 the blocks 7^5 and 7^6 are, and every Phi_7^l is reducible
 # (ord_7(2) = 3).
-RANK_ROUTE_MODULI = [[(4643, 1)], [(131, 1), (317, 1)], [(7, 6)]]
-RANK_ROUTE_BLOCKS = {4643: [4643], 41527: [41527], 117649: [16807, 117649]}
+RANK_ROUTE_MODULI = [[(131, 1), (317, 1)], [(7, 6)]]
+RANK_ROUTE_BLOCKS = {41527: [41527], 117649: [16807, 117649]}
 
 
 @pytest.mark.parametrize("factors", RANK_ROUTE_MODULI)
@@ -330,10 +330,11 @@ def test_every_large_reducible_block_takes_the_rank_route(
     factors, L_default, L_all_ones_top, monkeypatch
 ):
     m = validate_modulus(factors)
+    zero_test = all_or_none_blocks(m.n)
     large = [
         d
         for d in divisors(factorize(m.n))
-        if d >= 4608 and multiplicative_order(2, d) != phi(d)
+        if d >= 4608 and multiplicative_order(2, d) != phi(d) and d not in zero_test
     ]
     assert large
     euclid = spy(monkeypatch, gf2poly, "gcd")
@@ -398,8 +399,8 @@ def test_survey_and_verify_moduli_keep_their_routes(monkeypatch):
     for m in valid_moduli(3309):
         block_zero_counts(0, m.n)
     assert kernels == []
-    block_zero_counts(0, 4643)
-    assert [args[1] for args, _ in kernels] == [4643]
+    block_zero_counts(0, 41527)
+    assert [args[1] for args, _ in kernels] == [41527]
 
 
 def _off_by_one_kernel(real):
@@ -411,17 +412,17 @@ def _off_by_one_kernel(real):
 
 def test_rank_count_off_the_order_of_two_raises(monkeypatch):
     monkeypatch.setattr(lincomp, "orbit_kernel", _off_by_one_kernel(lincomp.orbit_kernel))
-    m = validate_modulus([(4643, 1)])
-    with pytest.raises(MethodDisagreement, match="ord_4643"):
+    m = validate_modulus([(131, 1), (317, 1)])
+    with pytest.raises(MethodDisagreement, match="ord_41527"):
         lincomp_gcd(generate(m, VectorAssignment.default(m)))
 
 
 def test_rank_count_guard_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(lincomp, "orbit_kernel", _off_by_one_kernel(lincomp.orbit_kernel))
-    code = main(["lincomp", "--method", "gcd", "--factors", "4643:1"])
+    code = main(["lincomp", "--method", "gcd", "--factors", "131:1,317:1"])
     captured = capsys.readouterr()
     assert code == 3
-    assert "ord_4643(2) = 422" in captured.err and captured.out == ""
+    assert "ord_41527(2) = 20540" in captured.err and captured.out == ""
 
 
 # --- one-bit flips and the all-or-none prime-power blocks --------------------
@@ -466,13 +467,13 @@ def test_one_bit_flips_leave_the_rank_route(factors):
 
 
 def all_or_none_blocks(n):
-    """The blocks d = p^l | n below the rank floor with Phi_d reducible and
-    p = +-3 (mod 8): an S_d that is a union of H-orbits vanishes at all or
-    none of the primitive d-th roots of unity."""
+    """The blocks d = p^l | n with Phi_d reducible and p = +-3 (mod 8): an
+    S_d that is a union of H-orbits vanishes at all or none of the
+    primitive d-th roots of unity."""
     return [
         d
         for d, (dfactors, order) in divisor_blocks(factorize(n)).items()
-        if len(dfactors) == 1 and dfactors[0][0] % 8 in (3, 5) and order != phi(d) and d < 4608
+        if len(dfactors) == 1 and dfactors[0][0] % 8 in (3, 5) and order != phi(d)
     ]
 
 
@@ -510,6 +511,40 @@ def test_one_bit_flip_in_an_all_or_none_block_falls_back_to_euclid(n, bit, monke
     counts = block_zero_counts(flipped, n)
     assert phi_43 in [args[1] for args, _ in euclid]
     assert counts == block_counts_euclid(flipped, n)
+
+
+@pytest.mark.parametrize("factors, L", [([(4643, 1)], 4642), ([(43, 3)], 79506)])
+def test_large_all_or_none_blocks_take_the_zero_test(factors, L, monkeypatch):
+    # reducible blocks of 4608 or more: 4643 (ord_4643(2) = 422) and 43^3
+    # (ord(2) = 25886) make no orbit_kernel call, and each count agrees with
+    # orbit_kernel on the same fold: K(d) is the sum of count(e) / (phi(e)/2)
+    # over the blocks e | d of the prime power (count(1) over block 1)
+    m = validate_modulus(factors)
+    n = m.n
+    assert [d for d in all_or_none_blocks(n) if d >= 4608] == [n]
+    kernels = spy(monkeypatch, lincomp, "orbit_kernel")
+    for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
+        packed = generate(m, make(m)).packed
+        kernels.clear()
+        counts = block_zero_counts(packed, n)
+        assert kernels == []
+        for d in counts:
+            zeros = sum(counts[e] // (phi(e) // 2 or 1) for e in counts if d % e == 0)
+            assert orbit_kernel(gf2poly.fold(packed, d), d, factorize(d)) == zeros, (n, d)
+        seq = Period(packed, n)
+        assert lincomp_gcd(seq) == lincomp_bm(seq) == L
+
+
+def test_flipped_and_rotated_4643_falls_back_to_euclid(monkeypatch):
+    m = validate_modulus([(4643, 1)])
+    n = m.n
+    packed = generate(m, VectorAssignment.default(m)).packed
+    rotated = (packed << 5 | packed >> (n - 5)) & ((1 << n) - 1)
+    euclid = spy(monkeypatch, gf2poly, "gcd")
+    for other in (packed ^ 2, rotated):
+        euclid.clear()
+        assert block_zero_counts(other, n) == block_counts_euclid(other, n)
+        assert phi(n) in {gf2poly.degree(args[1]) for args, _ in euclid}
 
 
 # --- the parity tables ---------------------------------------------------------

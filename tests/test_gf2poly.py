@@ -12,6 +12,7 @@ from dhseq.gf2poly import (
     degree,
     gcd,
     is_irreducible,
+    rank,
     smallest_irreducible,
     square,
 )
@@ -29,6 +30,7 @@ from oracles import (
     minimal_polynomial,
     mul,
     powmod,
+    rank_by_elimination,
     smallest_irreducible_field,
 )
 
@@ -295,6 +297,36 @@ def test_gcd_matches_divmod_euclid_on_random_pairs():
             c = rng.getrandbits(rng.randrange(1, 60)) | 1
             a, b = mul(a, c), mul(b, c)
         assert gcd(a, b) == gcd_by_divmod(a, b), (a, b)
+
+
+def test_rank_examples():
+    assert rank([]) == rank([0, 0]) == 0
+    assert rank([0b101, 0b101, 0]) == 1
+    assert rank([0b110, 0b011, 0b101]) == 2
+    assert rank([1 << i for i in range(729)]) == 729
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rank_matches_elimination(data):
+    # free rows of up to 729 bits mixed with xors of a few base vectors, so
+    # that zero, repeated and dependent rows occur
+    width = data.draw(st.integers(min_value=1, max_value=729))
+    vector = st.integers(min_value=0, max_value=(1 << width) - 1)
+    base = data.draw(st.lists(vector, max_size=12))
+    count = data.draw(st.integers(min_value=0, max_value=100))
+    rows = []
+    for free in data.draw(st.lists(st.booleans(), min_size=count, max_size=count)):
+        if free:
+            rows.append(data.draw(vector))
+            continue
+        picked = data.draw(st.integers(min_value=0, max_value=(1 << len(base)) - 1))
+        row = 0
+        for i, b in enumerate(base):
+            if picked >> i & 1:
+                row ^= b
+        rows.append(row)
+    assert rank(rows) == rank_by_elimination(rows)
 
 
 def test_build_field_n3():

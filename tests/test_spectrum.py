@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dhseq import cyclotomy, lincomp, sequence
 from dhseq.cyclotomy import VectorAssignment
-from dhseq.gf2poly import build_field
+from dhseq.gf2poly import build_field, exponents
 from dhseq.lincomp import (
     common_reps,
     lincomp_gcd,
@@ -360,19 +360,37 @@ def test_tampered_class_fails_lemma2_and_lemma3_like_the_sweep(monkeypatch, m, t
         assert got2.holds is False
 
 
+def test_tampered_class_above_the_sweep_bound_exits_2(monkeypatch, capsys):
+    # lemma3 would sweep all 8191 v for a class that is no union of H-orbits
+    from dhseq.cli import main
+    from dhseq.lincomp import MAX_FULL_SWEEP
+
+    real = cyclotomy.generalized_classes
+
+    def tampered(factors, a_d):
+        pair = real(factors, a_d)
+        return swap_first(*pair) if factors == ((8191, 1),) else pair
+
+    monkeypatch.setattr(cyclotomy, "generalized_classes", tampered)
+    assert main(["verify", "--check", "lemma3", "--factors", "8191:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"above n={MAX_FULL_SWEEP}" in captured.err
+
+
 def test_spectral_values_refuses_a_full_sweep_above_the_bound():
-    # spectrum itself keeps the full sweep (the lemma checks want its
-    # witnesses); only the spectral method stops before it starts
+    # spectrum refuses the full sweep before it starts, for the spectral
+    # method and the lemma checks alike; a union of H-orbits is reduced
     from dhseq.errors import DHSeqError
-    from dhseq.lincomp import MAX_FULL_SWEEP, is_orbit_union
+    from dhseq.lincomp import MAX_FULL_SWEEP
 
     m = validate_modulus([(8191, 1)])
     assert m.n > MAX_FULL_SWEEP
     field = build_field(m.n)
     seq = generate(m, VectorAssignment.default(m))
-    assert is_orbit_union([j for j in range(m.n) if seq.packed >> j & 1], field.orbits())
+    assert spectrum(exponents(seq.packed), field).reduced
     assert lincomp_spectral(seq, field) == lincomp_gcd(seq)
     raw = Period(seq.packed ^ 1 << 5, m.n)
-    assert not is_orbit_union([j for j in range(m.n) if raw.packed >> j & 1], field.orbits())
+    with pytest.raises(DHSeqError, match=f"above n={MAX_FULL_SWEEP}"):
+        spectrum(exponents(raw.packed), field)
     with pytest.raises(DHSeqError, match=f"above n={MAX_FULL_SWEEP}"):
         spectral_values(raw, field)
