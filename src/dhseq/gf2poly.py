@@ -47,19 +47,6 @@ def gcd(a: int, b: int) -> int:
     return a
 
 
-def rank(vectors) -> int:
-    """Rank over GF(2) of bit vectors given as ints."""
-    pivots: dict[int, int] = {}  # leading bit -> the basis vector with it
-    for v in vectors:
-        while v:
-            top = v.bit_length()
-            if top not in pivots:
-                pivots[top] = v
-                break
-            v ^= pivots[top]
-    return len(pivots)
-
-
 def fold(a: int, d: int) -> int:
     """a modulo x^d + 1: the xor of its d-bit chunks, taken by halving the
     chunk count at each step (x^(kd) = 1 modulo x^d + 1)."""

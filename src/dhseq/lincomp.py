@@ -38,34 +38,22 @@ def lincomp_gcd(seq) -> int:
     return n - zero_count
 
 
-# The rank route starts at d = _RANK_FLOOR: with every reducible block on
-# it, lincomp_gcd took 1.6 times as long over the 995 survey periods (n <=
-# 2000) and 2.4 times over the 12 verify periods (to 3309); with the pivot
-# rank, floors of 0, 500 and 1000 still cost 1.9, 1.3 and 1.2 times as much
-# over the survey's n (2-vCPU host, Python 3.11). 4608 lies above every
-# block of those. p = +-3 (mod 8) prime powers take the zero test at any d.
-_RANK_FLOOR = 4608
-
-
 def block_zero_counts(packed: int, n: int) -> dict[int, int]:
     """deg gcd(S mod Phi_d, Phi_d) for every d | n, n odd.
 
     x^n + 1 is squarefree for odd n, so these sum to deg gcd(S, x^n + 1).
     S_d = S mod (x^d + 1) is folded from S_dp for a prime p, largest d
-    first; then each block, smallest d first, takes the cheapest exact route:
+    first; then each block takes the first exact route that serves it:
 
     - block 1 is the parity of S;
-    - a zero test when S vanishes at every primitive d-th root of unity or
-      at none: when Phi_d is irreducible (ord_d(2) = phi(d), so d = p^l),
-      or, at any size, when d = p^l, S_d is a union of H-orbits
-      (numtheory.orbit_bits) and p = +-3 (mod 8), so that 2 is a nonsquare
-      and the Frobenius and H generate Z_d*. As Phi_d(x) = Phi_p(x^w),
-      w = p^(l-1), Phi_d divides S_d exactly when its p w-bit chunks agree;
-    - else, when d >= _RANK_FLOOR and S_d is a union of H-orbits,
-      orbit_kernel counts K(d), the H-orbits of d-th roots of unity where
-      S vanishes. Those of order e | d number z(e) = count(e) *
-      2^omega(e) / phi(e), so the count is (K(d) - the sum of z(e) over
-      e | d, e < d) * phi(d) / 2^omega(d);
+    - a zero test when Phi_d is irreducible (ord_d(2) = phi(d), so
+      d = p^l): S vanishes at every primitive d-th root of unity or at none.
+      As Phi_d(x) = Phi_p(x^w), w = p^(l-1), Phi_d divides S_d exactly when
+      its p w-bit chunks agree;
+    - else, when S_d is a union of H-orbits (numtheory.orbit_bits), S is
+      constant on each of the 2^omega(d) H-orbits of primitive d-th roots
+      of unity, phi(d) / 2^omega(d) roots each, and unit_orbit_zeros counts
+      the orbits where it vanishes;
     - otherwise Euclid runs on (S_d mod Phi_d, Phi_d).
 
     Each irreducible factor of Phi_d has degree ord_d(2), so a count that is
@@ -80,19 +68,15 @@ def block_zero_counts(packed: int, n: int) -> dict[int, int]:
         p = next(p for p in primes if n % (d * p) == 0)
         folded[d] = gf2poly.fold(folded[d * p], d)
     counts = {1: 1 - folded[1]}
-    orbit_zeros = {1: counts[1]}  # z(e) of the blocks done so far
     for d in divisors[1:]:
         dfactors, order = blocks[d]
         phi = math.prod(p ** (l - 1) * (p - 1) for p, l in dfactors)
-        size = phi >> len(dfactors)  # phi(d) / 2^omega(d), one H-orbit of units
-        s, p = folded[d], dfactors[0][0]
-        if order == phi or (
-            len(dfactors) == 1 and p % 8 in (3, 5) and numtheory.orbit_bits(s, dfactors)
-        ):
-            w = d // p
+        s = folded[d]
+        if order == phi:
+            w = d // dfactors[0][0]
             count = phi if s == numtheory.repeat_bits(s & ((1 << w) - 1), w, d) else 0
-        elif d >= _RANK_FLOOR and (kernel := orbit_kernel(s, d, dfactors)) is not None:
-            count = (kernel - sum(z for e, z in orbit_zeros.items() if d % e == 0)) * size
+        elif (bits := numtheory.orbit_bits(s, dfactors)) is not None:
+            count = unit_orbit_zeros(bits, dfactors) * phi >> len(dfactors)
         else:
             dprimes = [p for p, _ in dfactors]
             r = gf2poly.cyclotomic_mod(s, d, dprimes)
@@ -103,64 +87,49 @@ def block_zero_counts(packed: int, n: int) -> dict[int, int]:
                 f" ord_{d}(2) = {order} between 0 and phi({d}) = {phi}"
             )
         counts[d] = count
-        orbit_zeros[d] = count // size
     return counts
 
 
-def orbit_kernel(s: int, d: int, factors) -> int | None:
-    """K(d): the number of H-orbits of d-th roots of unity where S_d
-    vanishes, for S_d = s of degree below d and d given by its (prime,
-    exponent) pairs; None when S_d is not a union of H-orbits of Z_d.
+def unit_orbit_zeros(bits, factors) -> int:
+    """The number of the 2^omega(d) H-orbits of primitive d-th roots of
+    unity at which S_d vanishes, S_d the union of the H-orbits of Z_d whose
+    entry in bits is 1 (numtheory.orbit_bits), d given by its (prime,
+    exponent) pairs.
 
-    An H-invariant S_d lies in the algebra spanned by the orbit sums
-    theta_B of GF(2)[x]/(x^d + 1), and multiplication by it is a k x k
-    matrix over GF(2), k the number of orbits: entry (C, B), the
-    coefficient of x^c in S_d * theta_B for any c in C, is the parity of
-    |S_d & (c - B)|. Over a field holding the d-th roots of unity that
-    algebra is the functions on the orbits, so the kernel dimension
-    k - rank counts the orbits where S vanishes. The columns are built over
-    A = -B, which only reorders them.
+    S_d is H-invariant and 4 is in H, so S(z)^4 = S(z): every value lies in
+    GF(4) = {0, 1, w, w^2}, held as the ints 0..3 with xor for addition.
+    Write z = prod of z_j, z_j a primitive p_j^l_j-th root of unity, and
+    c_j = chi_p_j of z's unit orbit. By CRT S(z) is the sum, over the
+    orbits (b_j) of S_d, of the products of T_j[b_j], the sum of z_j^x over
+    label b_j of numtheory.prime_power_labels(p_j, l_j):
 
-    By CRT an orbit is one label of numtheory.prime_power_labels per prime
-    power q || d, and |O & (c + A)| is the product over q of the counts in
-    Z_q. So the matrix is the xor, over the orbits O of S_d, of the
-    Kronecker products of the q-tables numtheory.label_sum_parities gives
-    at the labels of O, summed over a trie with one level per prime power.
-    The only d-bit work is numtheory.orbit_bits, which ends the route when
-    an orbit meets S_d in part (the test lincomp.spectrum makes).
+    - T_j[0] = 1 (x = 0);
+    - label 1 + 2 v + a with v < l_j - 1 sums to 0: its x = p^v u fall into
+      the classes u = u_0 + p m of one residue u_0 mod p, and each class
+      sums z_j^(p^v u_0) times all the p^(l_j - v - 1)-th roots of unity;
+    - at v = l_j - 1 it is a Gauss period of p_j: eta_j xor a xor c_j, where
+      eta_j is taken as 0 for p_j = +-1 (mod 8) (2 is a square, so it lies
+      in GF(2)) and w otherwise. Another choice fixes z_j up to a nonsquare
+      power, which only permutes the orbits, so the count does not change.
+
+    One pass per prime, the last (the fastest index of bits) first, maps
+    each group of 2 l_j + 1 entries to its values at c_j = 0 and then at
+    c_j = 1, so the next prime's labels stay contiguous.
     """
-    bits = numtheory.orbit_bits(s, factors)
-    if bits is None:
-        return None
-    w, levels = len(bits), []
-    for p, l in factors:
-        # w is the row width of the levels below and this label's stride in
-        # bits. Bit a of row c of a label's table is spread to bit a * w, so
-        # the Kronecker product with a w-bit row r is r times the spread row
-        w //= 2 * l + 1
-        steps = [1 << a * w for a in range(2 * l + 1)]
-        tables = [
-            [sum(step for a, step in enumerate(steps) if row >> a & 1) for row in rows]
-            for rows in numtheory.label_sum_parities(p, l)
-        ]
-        levels.append((tables, w))
-    # the sums below each trie node, from the leaves (one orbit's bit each)
-    # up: a node adds, over its labels whose sum below is not zero, the
-    # Kronecker product of the label's table with that sum
-    sums = [[bit] for bit in bits]
-    for tables, w in reversed(levels):
-        size, below = len(tables), sums
-        sums = []
-        for node in range(0, len(below), size):
-            total = [0] * (size * w)
-            for table, rest in zip(tables, below[node : node + size]):
-                if any(rest):
-                    for c, spread in enumerate(table):
-                        if spread:
-                            for i, r in enumerate(rest, c * w):
-                                total[i] ^= r * spread
-            sums.append(total)
-    return len(bits) - gf2poly.rank(sums[0])
+    mul = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+    values = bits
+    for p, l in reversed(factors):
+        eta = 0 if p % 8 in (1, 7) else 2
+        k = 2 * l + 1
+        out = []
+        for c in (0, 1):
+            top0, top1 = mul[eta ^ c], mul[eta ^ c ^ 1]
+            out += [
+                values[i] ^ top0[values[i + k - 2]] ^ top1[values[i + k - 1]]
+                for i in range(0, len(values), k)
+            ]
+        values = out
+    return values.count(0)
 
 
 class Spectrum:

@@ -379,56 +379,6 @@ def orbit_bits(s: int, factors) -> list[int] | None:
     return bits if orbit_union(factors, bits) == s else None
 
 
-def label_sum_parities(p: int, l: int) -> list[list[int]]:
-    """The parity table T of the labels of prime_power_labels(p, l): bit a
-    of T[o][c] is the parity of #{x in label a : r + x in label o}, for
-    any r in label c (the count is the same for all of them).
-
-    Closed form, O(l^2) work with no scan of Z_{p^l}. Label 0 is {0}; label
-    (v, chi) has p^(l-v-1) (p-1)/2 members, so its parity is
-    h = (p-1)/2 mod 2. For c, a of valuations v_c, v_a:
-
-    - c = 0: r + x = x, so o = a, |a| times;
-    - a = 0: o = c, once;
-    - v_a < v_c: o = a, and v_a > v_c: o = c, |a| times each;
-    - v_a = v_c = v: r + x = p^v (u + w) with u, w units. Where u + w is a
-      unit mod p, o = (v, chi') with the parity of the cyclotomic number
-      (chi_a + chi_c, chi' + chi_c) of order 2, counted mod p. Where u = -w
-      mod p, which needs chi_a = chi_c + chi_p(-1) = chi_c + h, r + x runs
-      once over the multiples of p^(v+1): every o that is 0 or of
-      valuation above v, |o| times.
-
-    The cyclotomic numbers (i, j) = #{z in C_i : z + 1 in C_j}, C_0 the
-    squares and C_1 the nonsquares mod p, are Gauss's (Storer, Cyclotomy
-    and Difference Sets, 1967): for p = 1 mod 4, (0,0) = (p-5)/4 and the
-    others (p-1)/4; for p = 3 mod 4, (0,1) = (p+1)/4 and the others (p-3)/4.
-    """
-    k = 2 * l + 1
-    h = (p - 1) // 2 % 2
-    odd = [1] + [h] * (k - 1)  # |label| mod 2
-    if p % 4 == 1:
-        cyclotomic = [[(p - 5) // 4, (p - 1) // 4], [(p - 1) // 4, (p - 1) // 4]]
-    else:
-        cyclotomic = [[(p - 3) // 4, (p + 1) // 4], [(p - 3) // 4, (p - 3) // 4]]
-    table = [[0] * k for _ in range(k)]
-    for c in range(k):
-        vc, xc = divmod(c - 1, 2)
-        for a in range(k):
-            va, xa = divmod(a - 1, 2)
-            bit = 1 << a
-            if c == 0 or (a and va < vc):
-                table[a][c] ^= bit * odd[a]
-            elif a == 0 or va > vc:
-                table[c][c] ^= bit * odd[a]
-            else:
-                for xo in (0, 1):
-                    table[2 * va + 1 + xo][c] ^= bit * (cyclotomic[xa ^ xc][xo ^ xc] & 1)
-                if xa == xc ^ h:
-                    for o in (0, *range(2 * va + 3, k)):
-                        table[o][c] ^= bit * odd[o]
-    return table
-
-
 def h_orbits(n: int) -> HOrbits:
     """Label every v in Z_n with its H-orbit.
 

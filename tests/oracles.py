@@ -8,12 +8,11 @@ label tiles, the classes built from powers of a primitive root
 spectral sweeps the checks used before they shared the orbit-reduced
 engine, that engine's per-representative sums from before it read the
 field's orbit sums, the one-shot Euclid the gcd route ran before it split x^n + 1
-into cyclotomic blocks, a per-block Euclid for the blocks the rank route
-counts, the rank route's d-bit matrix build from before the per-prime-power
-parity tables and a count of those tables, a GF(2) rank by elimination on
-0/1 lists, the GF(2^m) the spectral route used before it was re-based on
-the minimal polynomial of alpha, the
-Miller-Rabin primality test the package used before it tested primes by
+into cyclotomic blocks, a per-block Euclid for the blocks the unit-orbit
+route counts, the orbit-kernel count K(d) of the retired GF(2) rank route
+by its d-bit matrix and a rank by elimination on 0/1 lists, the GF(2^m)
+the spectral route used before it was re-based on the minimal polynomial
+of alpha, the Miller-Rabin primality test the package used before it tested primes by
 factorization, the odd-index-tuple enumeration lemma3 expanded before its
 parity pass, the CRT split weights b_k lemma3 took its per-factor roots
 from before it read the lifted classes of each prime power, the per-bit
@@ -30,7 +29,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 
 from dhseq import gf2poly, lincomp, numtheory, sequence
@@ -534,12 +532,13 @@ def orbit_union_by_index(factors, bits) -> int:
     return int("".join(str(bits[k]) for k in reversed(labels)), 2)
 
 
-# --- the rank route before the parity tables ---------------------------------
+# --- K(d) by the GF(2) rank of a d-bit matrix ---------------------------------
 
 
 def rank_by_elimination(vectors) -> int:
-    """gf2poly.rank by Gauss-Jordan elimination on explicit 0/1 lists,
-    column by column from bit 0, each row a list of its bits."""
+    """The GF(2) rank of bit vectors given as ints, by Gauss-Jordan
+    elimination on explicit 0/1 lists, column by column from bit 0, each
+    row a list of its bits."""
     width = max((v.bit_length() for v in vectors), default=0)
     rows = [[v >> i & 1 for i in range(width)] for v in vectors]
     rank = 0
@@ -556,10 +555,13 @@ def rank_by_elimination(vectors) -> int:
 
 
 def orbit_kernel_rotations(s: int, d: int, factors) -> int | None:
-    """lincomp.orbit_kernel by d-bit work: entry (c, A) of the matrix is
-    the parity of |S_d & (c + A)|, one rotate and popcount of the orbit
-    mask of A per representative c, each mask the AND of its labels' masks
-    tiled from q to d bits."""
+    """K(d), the number of H-orbits of d-th roots of unity where S_d = s
+    vanishes (None when s is no union of H-orbits of Z_d), as the kernel
+    dimension of multiplication by S_d on the span of the orbit sums
+    theta_B of GF(2)[x]/(x^d + 1), a k x k matrix for k orbits: entry
+    (c, A) is the parity of |S_d & (c + A)|, one rotate and popcount of the
+    orbit mask of A per representative c, each mask the AND of its labels'
+    masks tiled from q to d bits."""
     # reversed, so that parsed in base 2 the label of x lands at bit x
     tables = [numtheory.prime_power_labels(p, l)[::-1] for p, l in factors]
     orbits = list(itertools.product(*(range(2 * l + 1) for _, l in factors)))
@@ -588,22 +590,7 @@ def orbit_kernel_rotations(s: int, d: int, factors) -> int | None:
             parity = (s & mask << c).bit_count() + (s & mask >> (d - c)).bit_count()
             column |= (parity & 1) << i
         columns.append(column)
-    return len(orbits) - gf2poly.rank(columns)
-
-
-def label_sum_parities_by_count(p: int, l: int) -> list[list[int]]:
-    """numtheory.label_sum_parities by counting the label pairs
-    (label of x, label of r + x) over all x in Z_{p^l}, for the least
-    member r of each label c."""
-    labels = numtheory.prime_power_labels(p, l)
-    k = 2 * l + 1
-    table = [[0] * k for _ in range(k)]
-    for c in range(k):
-        r = labels.index(c)
-        shifted = labels[r:] + labels[:r]  # byte x: the label of r + x
-        for (a, o), count in Counter(zip(labels, shifted)).items():
-            table[o][c] ^= (count & 1) << a
-    return table
+    return len(orbits) - rank_by_elimination(columns)
 
 
 # --- per-v spectral sweeps ---------------------------------------------------

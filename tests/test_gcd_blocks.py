@@ -1,6 +1,7 @@
 """The gcd route by cyclotomic blocks against the one-shot Euclid oracle."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -10,20 +11,13 @@ from dhseq import gf2poly, lincomp
 from dhseq.cli import main
 from dhseq.cyclotomy import VectorAssignment
 from dhseq.errors import MethodDisagreement
-from dhseq.lincomp import (
-    block_zero_counts,
-    lincomp_bm,
-    lincomp_gcd,
-    orbit_kernel,
-)
+from dhseq.lincomp import block_zero_counts, lincomp_bm, lincomp_gcd, unit_orbit_zeros
 from dhseq.numtheory import (
     crt_combine,
     divisor_blocks,
     divisors,
     factorize,
     h_orbits,
-    is_prime,
-    label_sum_parities,
     orbit_bits,
     validate_modulus,
 )
@@ -35,7 +29,6 @@ from oracles import (
     cyclotomic_by_division,
     divmod_,
     gcd_by_divmod,
-    label_sum_parities_by_count,
     legendre,
     lincomp_gcd_euclid,
     multiplicative_order,
@@ -131,7 +124,10 @@ def test_prime_powers_match_euclid_and_skip_euclid_when_irreducible(n, monkeypat
     for packed in periods:
         calls.clear()
         counts = block_zero_counts(packed, n)
-        assert bool(calls) == (n in REDUCIBLE)
+        # every block d > 1 of these n is reducible when n is, and its S_d
+        # is a union of H-orbits whenever S_n is, so Euclid runs exactly
+        # when n is reducible and S_n is no union of H-orbits
+        assert bool(calls) == (n in REDUCIBLE and orbit_bits(packed, m.factors) is None)
         for d, count in counts.items():
             phi_d = cyclotomic_by_division(d)
             assert count == gf2poly.degree(real_gcd(divmod_(packed, phi_d)[1], phi_d))
@@ -157,16 +153,22 @@ def _wrong_degree_gcd(a, b):
     return 0b11  # x + 1: degree 1, while every factor of Phi_7 has degree 3
 
 
+# bit 1 alone: no union of H-orbits of Z_7 ({0}, {1, 2, 4}, {3, 5, 6}), so
+# block 7 runs Euclid
+RAW_7 = "0100000"
+
+
 def test_block_count_off_the_order_of_two_raises(monkeypatch):
     monkeypatch.setattr(gf2poly, "gcd", _wrong_degree_gcd)
-    m = validate_modulus([(7, 1)])
     with pytest.raises(MethodDisagreement, match="ord_7"):
-        lincomp_gcd(generate(m, VectorAssignment.default(m)))
+        lincomp_gcd(Period(int(RAW_7[::-1], 2), 7))
 
 
-def test_block_count_guard_exits_3(monkeypatch, capsys):
+def test_block_count_guard_exits_3(monkeypatch, capsys, tmp_path):
+    f = tmp_path / "raw7.txt"
+    f.write_text(RAW_7 + "\n")
     monkeypatch.setattr(gf2poly, "gcd", _wrong_degree_gcd)
-    code = main(["lincomp", "--method", "gcd", "--factors", "7:1"])
+    code = main(["lincomp", "--method", "gcd", "--sequence", str(f)])
     captured = capsys.readouterr()
     assert code == 3
     assert "ord_7(2) = 3" in captured.err and captured.out == ""
@@ -185,30 +187,32 @@ def test_even_raw_periods_take_euclid_and_match_bm(tmp_path, capsys, bits):
     assert capsys.readouterr().out == f"L[gcd] = {want}\n"
 
 
-# --- the rank route ------------------------------------------------------------
+# --- the unit-orbit route -----------------------------------------------------
 
 
 def omega(d):
     return len(primes_of(d))
 
 
-def orbit_zeros_from_counts(counts, d):
-    """The H-orbits of d-th roots of unity where S vanishes, from per-block
-    counts: block e holds 2^omega(e) orbits of phi(e)/2^omega(e) roots."""
+def orbit_kernel(s, d):
+    """K(d), the H-orbits of d-th roots of unity where S_d = s vanishes:
+    unit_orbit_zeros summed over the folds S_e, e | d, whose unit orbits
+    are the orbits of order e; None when S_d is no union of H-orbits."""
     total = 0
-    for e, count in counts.items():
-        if d % e == 0:
-            size = phi(e) >> omega(e)
-            assert count % size == 0, (d, e, count)
-            total += count // size
+    for e in divisors(factorize(d)):
+        bits = orbit_bits(gf2poly.fold(s, e), factorize(e))
+        if bits is None:
+            return None
+        total += unit_orbit_zeros(bits, factorize(e))
     return total
 
 
-def assert_kernels_match_euclid(packed, n):
+def assert_unit_orbits_match_euclid(packed, n):
     counts = block_counts_euclid(packed, n)
-    for d in counts:
-        kernel = orbit_kernel(gf2poly.fold(packed, d), d, factorize(d))
-        assert kernel == orbit_zeros_from_counts(counts, d), (n, d)
+    for d, count in counts.items():
+        factors = factorize(d)
+        zeros = unit_orbit_zeros(orbit_bits(gf2poly.fold(packed, d), factors), factors)
+        assert zeros * phi(d) >> omega(d) == count, (n, d)
 
 
 def odd_sum_assignment(m, rng):
@@ -220,6 +224,8 @@ def odd_sum_assignment(m, rng):
 
 
 def test_orbit_kernel_matches_euclid_blocks_to_2000():
+    # every block d | n, block 1 and the irreducible ones included, counted
+    # on its unit orbits alone
     for m in valid_moduli(2000):
         rng = random.Random(m.n)
         for a in (
@@ -227,7 +233,7 @@ def test_orbit_kernel_matches_euclid_blocks_to_2000():
             VectorAssignment.all_ones_top(m),
             odd_sum_assignment(m, rng),
         ):
-            assert_kernels_match_euclid(generate(m, a).packed, m.n)
+            assert_unit_orbits_match_euclid(generate(m, a).packed, m.n)
 
 
 MULTI_PRIME = [n for n in range(15, 600, 2) if omega(n) >= 2]
@@ -240,7 +246,7 @@ def test_orbit_unions_match_euclid(data):
     orbits = h_orbits(n)
     chosen = data.draw(st.integers(min_value=0, max_value=(1 << len(orbits.reps)) - 1))
     packed = sum(1 << v for v, k in enumerate(orbits.labels) if chosen >> k & 1)
-    assert_kernels_match_euclid(packed, n)
+    assert_unit_orbits_match_euclid(packed, n)
     assert lincomp_gcd(Period(packed, n)) == lincomp_gcd_euclid(Period(packed, n))
 
 
@@ -258,39 +264,66 @@ def spy(monkeypatch, module, name):
     return calls
 
 
-# The rank route takes every reducible block of 4608 or more but the prime
-# powers p^l with p = +-3 (mod 8); RANK_ROUTE_BLOCKS lists them by n. Of
-# 131*317 only the top block is that large: ord_41527(2) = 20540, and its
-# orbit size 10270 is no multiple of it, so an off-by-one kernel breaks the
-# guard. Of 7^6 the blocks 7^5 and 7^6 are, and every Phi_7^l is reducible
-# (ord_7(2) = 3).
-RANK_ROUTE_MODULI = [[(131, 1), (317, 1)], [(7, 6)]]
-RANK_ROUTE_BLOCKS = {41527: [41527], 117649: [16807, 117649]}
+def orbit_blocks(calls):
+    """The block d of each recorded unit_orbit_zeros call, from its factors."""
+    return [math.prod(p**l for p, l in args[1]) for args, _ in calls]
 
 
-@pytest.mark.parametrize("factors", RANK_ROUTE_MODULI)
+def reducible_blocks(n):
+    return sorted(d for d, (_, order) in divisor_blocks(factorize(n)).items() if order != phi(d))
+
+
+# Of 131*317 only the top block is reducible: ord_41527(2) = 20540, and its
+# unit-orbit size 10270 is no multiple of it, so an off-by-one count breaks
+# the guard. Of 7^6 every block is (ord_7(2) = 3).
+@pytest.mark.parametrize("factors", [[(131, 1), (317, 1)], [(7, 6)]])
 def test_flipped_and_rotated_periods_fall_back_to_euclid(factors, monkeypatch):
     m = validate_modulus(factors)
     n = m.n
-    blocks = RANK_ROUTE_BLOCKS[n]
     packed = generate(m, VectorAssignment.default(m)).packed
-    kernels = spy(monkeypatch, lincomp, "orbit_kernel")
+    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
     euclid = spy(monkeypatch, gf2poly, "gcd")
     block_zero_counts(packed, n)
-    assert [args[1] for args, out in kernels if out is not None] == blocks
-    assert not {phi(d) for d in blocks} & {gf2poly.degree(args[1]) for args, _ in euclid}
+    assert orbit_blocks(orbits) == reducible_blocks(n)
+    assert euclid == []
     rotated = (packed << 5 | packed >> (n - 5)) & ((1 << n) - 1)
     for other in (packed ^ 2, rotated):
-        kernels.clear()
+        orbits.clear()
         euclid.clear()
         assert block_zero_counts(other, n) == block_counts_euclid(other, n)
-        assert [args[1] for args, out in kernels if out is None] == blocks
-        assert {phi(d) for d in blocks} <= {gf2poly.degree(args[1]) for args, _ in euclid}
+        assert n not in orbit_blocks(orbits)
+        assert phi(n) in {gf2poly.degree(args[1]) for args, _ in euclid}
 
 
 def test_lincomp_gcd_at_1019_1031():
     m = validate_modulus([(1019, 1), (1031, 1)])
     assert lincomp_gcd(generate(m, VectorAssignment.default(m))) == 1_050_074
+
+
+def counts_without_euclid(m, make, euclid):
+    """block_zero_counts of the period make(m) builds, which as a union of
+    H-orbits folds to unions at every d, so no block may run Euclid."""
+    euclid.clear()
+    counts = block_zero_counts(generate(m, make(m)).packed, m.n)
+    assert euclid == [], (m.n, make.__name__)
+    return counts
+
+
+def test_generated_periods_to_3309_make_no_euclid_call(monkeypatch):
+    # every survey and verify modulus; the p = +-3 (mod 8) prime-power
+    # blocks among them vanish at all or none of their roots
+    euclid = spy(monkeypatch, gf2poly, "gcd")
+    checked = vanished = 0
+    for m in valid_moduli(3309):
+        blocks = all_or_none_blocks(m.n)
+        for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
+            counts = counts_without_euclid(m, make, euclid)
+            assert all(counts[d] in (0, phi(d)) for d in blocks), (m.n, make.__name__)
+            if m.n <= 2000:
+                checked += len(blocks)
+                vanished += sum(counts[d] > 0 for d in blocks)
+    # 138 (period, block) pairs to 2000, and no such block vanishes
+    assert (checked, vanished) == (138, 0)
 
 
 T6 = [(3, 1), (5, 1), (7, 1), (11, 1), (23, 1), (47, 1)]
@@ -310,10 +343,11 @@ T6 = [(3, 1), (5, 1), (7, 1), (11, 1), (23, 1), (47, 1)]
 def test_large_top_blocks_make_no_euclid_call(factors, monkeypatch):
     m = validate_modulus(factors)
     euclid = spy(monkeypatch, gf2poly, "gcd")
-    kernels = spy(monkeypatch, lincomp, "orbit_kernel")
-    lincomp_gcd(generate(m, VectorAssignment.default(m)))
-    assert phi(m.n) not in [gf2poly.degree(args[1]) for args, _ in euclid]
-    assert kernels[-1][0][1] == m.n and kernels[-1][1] is not None
+    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
+    for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
+        orbits.clear()
+        counts_without_euclid(m, make, euclid)
+        assert orbit_blocks(orbits)[-1] == m.n
 
 
 # L as a per-block Euclid gives it
@@ -329,54 +363,70 @@ def test_large_top_blocks_make_no_euclid_call(factors, monkeypatch):
 def test_every_large_reducible_block_takes_the_rank_route(
     factors, L_default, L_all_ones_top, monkeypatch
 ):
+    # every reducible block, of 4608 or more or not, takes the unit-orbit
+    # count, with no Euclid
     m = validate_modulus(factors)
-    zero_test = all_or_none_blocks(m.n)
-    large = [
-        d
-        for d in divisors(factorize(m.n))
-        if d >= 4608 and multiplicative_order(2, d) != phi(d) and d not in zero_test
-    ]
-    assert large
+    reducible = reducible_blocks(m.n)
+    assert [d for d in reducible if d >= 4608]
     euclid = spy(monkeypatch, gf2poly, "gcd")
-    kernels = spy(monkeypatch, lincomp, "orbit_kernel")
+    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
     for make, L in (
         (VectorAssignment.default, L_default),
         (VectorAssignment.all_ones_top, L_all_ones_top),
     ):
         euclid.clear()
-        kernels.clear()
+        orbits.clear()
         assert lincomp_gcd(generate(m, make(m))) == L
-        assert [args[1] for args, out in kernels if out is not None] == large
-        assert not {phi(d) for d in large} & {gf2poly.degree(args[1]) for args, _ in euclid}
+        assert orbit_blocks(orbits) == reducible
+        assert euclid == []
+
+
+def _off_by_one_orbits(real):
+    def zeros(bits, factors):
+        return real(bits, factors) + 1
+
+    return zeros
 
 
 def test_rank_route_leaves_no_cyclic_garbage(monkeypatch):
-    # the rank route builds d-bit tiles per label; held by a reference
-    # cycle they would wait for the next full collection
+    # the unit-orbit route builds d-bit label tiles for the union test; held
+    # by a reference cycle they would wait for the next full collection,
+    # whether the count passes the guard or an off-by-one count trips it
     import gc
 
-    m = validate_modulus([(499, 1), (503, 1)])
+    m = validate_modulus([(131, 1), (317, 1)])
     seq = generate(m, VectorAssignment.default(m))
-    kernels = spy(monkeypatch, lincomp, "orbit_kernel")
+    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
     gc.collect()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        assert lincomp_gcd(seq) == 250_746
+        assert lincomp_gcd(seq) == lincomp_gcd_euclid(seq)
         gc.collect()
         cyclic = [type(o).__name__ for o in gc.garbage]
+        off_by_one = _off_by_one_orbits(lincomp.unit_orbit_zeros)
+        monkeypatch.setattr(lincomp, "unit_orbit_zeros", off_by_one)
+        with pytest.raises(MethodDisagreement, match="ord_41527"):
+            lincomp_gcd(seq)
+        gc.collect()
+        cyclic += [type(o).__name__ for o in gc.garbage]
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
-    assert kernels[-1][0][1] == m.n and kernels[-1][1] is not None
+    assert orbit_blocks(orbits) == [m.n, m.n]
     assert cyclic == []
 
 
 def test_block_euclid_matches_divmod_euclid_on_survey_blocks(monkeypatch):
+    # generated periods make no Euclid call, so feed them rotated by 5: their
+    # S_d are then no unions of H-orbits, and the reducible blocks run Euclid
     calls = spy(monkeypatch, gf2poly, "gcd")
     for m in valid_moduli(2000):
+        n = m.n
         for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
-            lincomp_gcd(generate(m, make(m)))
+            packed = generate(m, make(m)).packed
+            r = 5 % n
+            lincomp_gcd(Period((packed << r | packed >> (n - r)) & ((1 << n) - 1), n))
     assert len(calls) > 1000
     for (a, b), g in calls:
         assert g == gcd_by_divmod(a, b), (a, b)
@@ -394,31 +444,15 @@ def test_divisor_blocks_take_the_order_of_two_by_lcm():
                 assert order == multiplicative_order(2, d), (n, d)
 
 
-def test_survey_and_verify_moduli_keep_their_routes(monkeypatch):
-    kernels = spy(monkeypatch, lincomp, "orbit_kernel")
-    for m in valid_moduli(3309):
-        block_zero_counts(0, m.n)
-    assert kernels == []
-    block_zero_counts(0, 41527)
-    assert [args[1] for args, _ in kernels] == [41527]
-
-
-def _off_by_one_kernel(real):
-    def kernel(s, d, factors):
-        return real(s, d, factors) + 1
-
-    return kernel
-
-
 def test_rank_count_off_the_order_of_two_raises(monkeypatch):
-    monkeypatch.setattr(lincomp, "orbit_kernel", _off_by_one_kernel(lincomp.orbit_kernel))
+    monkeypatch.setattr(lincomp, "unit_orbit_zeros", _off_by_one_orbits(lincomp.unit_orbit_zeros))
     m = validate_modulus([(131, 1), (317, 1)])
     with pytest.raises(MethodDisagreement, match="ord_41527"):
         lincomp_gcd(generate(m, VectorAssignment.default(m)))
 
 
 def test_rank_count_guard_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(lincomp, "orbit_kernel", _off_by_one_kernel(lincomp.orbit_kernel))
+    monkeypatch.setattr(lincomp, "unit_orbit_zeros", _off_by_one_orbits(lincomp.unit_orbit_zeros))
     code = main(["lincomp", "--method", "gcd", "--factors", "131:1,317:1"])
     captured = capsys.readouterr()
     assert code == 3
@@ -444,13 +478,14 @@ def orbit_representative(m, labels):
 
 
 @pytest.mark.parametrize("factors", [[(3, 1), (5, 1), (7, 1)], [(3, 2), (5, 1), (11, 1)]])
-def test_one_bit_flips_leave_the_rank_route(factors):
+def test_one_bit_flips_leave_the_rank_route(factors, monkeypatch):
     # every orbit of two or more members, flipped once at the member
     # orbit_bits reads and once at another: S_n is then no union of
-    # H-orbits, and L comes from Euclid
+    # H-orbits, and the top block's L comes from Euclid
     m = validate_modulus(factors)
     n = m.n
     packed = generate(m, VectorAssignment.default(m)).packed
+    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
     members = {}
     for x, k in enumerate(orbit_labels_by_index(m.factors)):
         members.setdefault(k, []).append(x)
@@ -462,8 +497,10 @@ def test_one_bit_flips_leave_the_rank_route(factors):
         assert rep in members[k]
         for x in (rep, next(x for x in members[k] if x != rep)):
             flipped = Period(packed ^ (1 << x), n)
-            assert orbit_kernel(flipped.packed, n, m.factors) is None, (n, orbit, x)
+            assert orbit_bits(flipped.packed, m.factors) is None, (n, orbit, x)
+            orbits.clear()
             assert lincomp_gcd(flipped) == lincomp_gcd_euclid(flipped), (n, orbit, x)
+            assert n not in orbit_blocks(orbits), (n, orbit, x)
 
 
 def all_or_none_blocks(n):
@@ -477,24 +514,6 @@ def all_or_none_blocks(n):
     ]
 
 
-def test_all_or_none_blocks_make_no_euclid_call_to_2000(monkeypatch):
-    euclid = spy(monkeypatch, gf2poly, "gcd")
-    checked = vanished = 0
-    for m in valid_moduli(2000):
-        blocks = all_or_none_blocks(m.n)
-        cyclotomics = {gf2poly.cyclotomic(d, primes_of(d)) for d in blocks}
-        for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
-            euclid.clear()
-            counts = block_zero_counts(generate(m, make(m)).packed, m.n)
-            assert not cyclotomics & {args[1] for args, _ in euclid}, (m.n, make.__name__)
-            for d in blocks:
-                assert counts[d] in (0, phi(d)), (m.n, d)
-                vanished += counts[d] > 0
-            checked += len(blocks)
-    # 138 (period, block) pairs, and no such block vanishes
-    assert (checked, vanished) == (138, 0)
-
-
 @pytest.mark.parametrize("n, bit", [(43, 1), (129, 3), (43 * 3 * 11, 33)])
 def test_one_bit_flip_in_an_all_or_none_block_falls_back_to_euclid(n, bit, monkeypatch):
     # bit is a multiple of n/43, so the flip lands in the block of 43
@@ -502,13 +521,17 @@ def test_one_bit_flip_in_an_all_or_none_block_falls_back_to_euclid(n, bit, monke
     packed = generate(m, VectorAssignment.default(m)).packed
     phi_43 = gf2poly.cyclotomic(43, [43])
     assert 43 in all_or_none_blocks(n) and orbit_bits(gf2poly.fold(packed, 43), [(43, 1)])
+    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
     euclid = spy(monkeypatch, gf2poly, "gcd")
     block_zero_counts(packed, n)
+    assert 43 in orbit_blocks(orbits)
     assert phi_43 not in [args[1] for args, _ in euclid]
     flipped = packed ^ (1 << bit)
     assert orbit_bits(gf2poly.fold(flipped, 43), [(43, 1)]) is None
+    orbits.clear()
     euclid.clear()
     counts = block_zero_counts(flipped, n)
+    assert 43 not in orbit_blocks(orbits)
     assert phi_43 in [args[1] for args, _ in euclid]
     assert counts == block_counts_euclid(flipped, n)
 
@@ -516,22 +539,17 @@ def test_one_bit_flip_in_an_all_or_none_block_falls_back_to_euclid(n, bit, monke
 @pytest.mark.parametrize("factors, L", [([(4643, 1)], 4642), ([(43, 3)], 79506)])
 def test_large_all_or_none_blocks_take_the_zero_test(factors, L, monkeypatch):
     # reducible blocks of 4608 or more: 4643 (ord_4643(2) = 422) and 43^3
-    # (ord(2) = 25886) make no orbit_kernel call, and each count agrees with
-    # orbit_kernel on the same fold: K(d) is the sum of count(e) / (phi(e)/2)
-    # over the blocks e | d of the prime power (count(1) over block 1)
+    # (ord(2) = 25886). 2 is a nonsquare mod 43 and 4643, so the Frobenius
+    # swaps the two unit orbits of each block (their values are w and w^2 at
+    # once): every count is 0 or phi(d), with no Euclid call
     m = validate_modulus(factors)
     n = m.n
     assert [d for d in all_or_none_blocks(n) if d >= 4608] == [n]
-    kernels = spy(monkeypatch, lincomp, "orbit_kernel")
+    euclid = spy(monkeypatch, gf2poly, "gcd")
     for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
-        packed = generate(m, make(m)).packed
-        kernels.clear()
-        counts = block_zero_counts(packed, n)
-        assert kernels == []
-        for d in counts:
-            zeros = sum(counts[e] // (phi(e) // 2 or 1) for e in counts if d % e == 0)
-            assert orbit_kernel(gf2poly.fold(packed, d), d, factorize(d)) == zeros, (n, d)
-        seq = Period(packed, n)
+        counts = counts_without_euclid(m, make, euclid)
+        assert all(counts[d] in (0, phi(d)) for d in all_or_none_blocks(n)), make.__name__
+        seq = Period(generate(m, make(m)).packed, n)
         assert lincomp_gcd(seq) == lincomp_bm(seq) == L
 
 
@@ -540,22 +558,17 @@ def test_flipped_and_rotated_4643_falls_back_to_euclid(monkeypatch):
     n = m.n
     packed = generate(m, VectorAssignment.default(m)).packed
     rotated = (packed << 5 | packed >> (n - 5)) & ((1 << n) - 1)
+    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
     euclid = spy(monkeypatch, gf2poly, "gcd")
     for other in (packed ^ 2, rotated):
+        orbits.clear()
         euclid.clear()
         assert block_zero_counts(other, n) == block_counts_euclid(other, n)
+        assert orbits == []
         assert phi(n) in {gf2poly.degree(args[1]) for args, _ in euclid}
 
 
-# --- the parity tables ---------------------------------------------------------
-
-
-def test_closed_form_parity_tables_match_a_count():
-    for p in filter(is_prime, range(3, 44, 2)):
-        l = 1
-        while p**l <= 300_000:
-            assert label_sum_parities(p, l) == label_sum_parities_by_count(p, l), (p, l)
-            l += 1
+# --- K(d) against the GF(2) rank of the d-bit matrix ---------------------------
 
 
 @pytest.mark.parametrize(
@@ -577,4 +590,4 @@ def test_orbit_kernel_matches_rotations(factors):
         packed = generate(m, make(m)).packed
         for d in divisors(factorize(m.n)):
             s = gf2poly.fold(packed, d)
-            assert orbit_kernel(s, d, factorize(d)) == orbit_kernel_rotations(s, d, factorize(d))
+            assert orbit_kernel(s, d) == orbit_kernel_rotations(s, d, factorize(d)), (m.n, d)
