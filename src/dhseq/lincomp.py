@@ -39,97 +39,105 @@ def lincomp_gcd(seq) -> int:
 
 
 def block_zero_counts(packed: int, n: int) -> dict[int, int]:
-    """deg gcd(S mod Phi_d, Phi_d) for every d | n, n odd.
+    """deg gcd(S mod Phi_d, Phi_d) for every d | n, n odd; x^n + 1 is then
+    squarefree, so they sum to deg gcd(S, x^n + 1). One route per period:
 
-    x^n + 1 is squarefree for odd n, so these sum to deg gcd(S, x^n + 1).
-    S_d = S mod (x^d + 1) is folded from S_dp for a prime p, largest d
-    first; then each block takes the first exact route that serves it:
-
-    - block 1 is the parity of S;
-    - a zero test when Phi_d is irreducible (ord_d(2) = phi(d), so
-      d = p^l): S vanishes at every primitive d-th root of unity or at none.
-      As Phi_d(x) = Phi_p(x^w), w = p^(l-1), Phi_d divides S_d exactly when
-      its p w-bit chunks agree;
-    - else, when S_d is a union of H-orbits (numtheory.orbit_bits), S is
-      constant on each of the 2^omega(d) H-orbits of primitive d-th roots
-      of unity, phi(d) / 2^omega(d) roots each, and unit_orbit_zeros counts
-      the orbits where it vanishes;
-    - otherwise Euclid runs on (S_d mod Phi_d, Phi_d).
+    - Phi_n reducible and S a union of H-orbits (numtheory.orbit_bits
+      accepts it): orbit_block_counts reads every block off the orbit bits;
+    - else S_d = S mod (x^d + 1) is folded from S_dp, largest d first, and
+      block 1 is the parity of S. An irreducible Phi_d (ord_d(2) = phi(d),
+      so d = p^l) divides S_d exactly when its p chunks of w = p^(l-1) bits
+      agree, as Phi_d(x) = Phi_p(x^w); any other block runs Euclid on
+      (S_d mod Phi_d, Phi_d). Phi_n irreducible (n = p^e) makes every
+      block so, and there the chunk tests cost less than a union read at n.
 
     Each irreducible factor of Phi_d has degree ord_d(2), so a count that is
     no multiple of it, or falls outside [0, phi(d)], raises MethodDisagreement.
     """
     factors = numtheory.factorize(n)
-    primes = [p for p, _ in factors]
     blocks = numtheory.divisor_blocks(factors)
-    divisors = sorted(blocks)
-    folded = {n: packed}
-    for d in reversed(divisors[:-1]):
-        p = next(p for p in primes if n % (d * p) == 0)
-        folded[d] = gf2poly.fold(folded[d * p], d)
-    counts = {1: 1 - folded[1]}
-    for d in divisors[1:]:
-        dfactors, order = blocks[d]
-        phi = math.prod(p ** (l - 1) * (p - 1) for p, l in dfactors)
-        s = folded[d]
-        if order == phi:
-            w = d // dfactors[0][0]
-            count = phi if s == numtheory.repeat_bits(s & ((1 << w) - 1), w, d) else 0
-        elif (bits := numtheory.orbit_bits(s, dfactors)) is not None:
-            count = unit_orbit_zeros(bits, dfactors) * phi >> len(dfactors)
-        else:
-            dprimes = [p for p, _ in dfactors]
-            r = gf2poly.cyclotomic_mod(s, d, dprimes)
-            count = gf2poly.degree(gf2poly.gcd(r, gf2poly.cyclotomic(d, dprimes)))
+    phis = {d: math.prod(p ** (l - 1) * (p - 1) for p, l in f) for d, (f, _) in blocks.items()}
+    if blocks[n][1] < phis[n] and (bits := numtheory.orbit_bits(packed, factors)) is not None:
+        counts = orbit_block_counts(bits, factors)
+    else:
+        divisors = sorted(blocks)
+        folded = {n: packed}
+        for d in reversed(divisors[:-1]):
+            p = next(p for p, _ in factors if n % (d * p) == 0)
+            folded[d] = gf2poly.fold(folded[d * p], d)
+        counts = {1: 1 - folded[1]}
+        for d in divisors[1:]:
+            dfactors, order = blocks[d]
+            s = folded[d]
+            if order == phis[d]:
+                w = d // dfactors[0][0]
+                counts[d] = phis[d] if s == numtheory.repeat_bits(s & ((1 << w) - 1), w, d) else 0
+            else:
+                dprimes = [p for p, _ in dfactors]
+                r = gf2poly.cyclotomic_mod(s, d, dprimes)
+                counts[d] = gf2poly.degree(gf2poly.gcd(r, gf2poly.cyclotomic(d, dprimes)))
+    for d, count in counts.items():
+        order, phi = blocks[d][1], phis[d]
         if count % order or not 0 <= count <= phi:
             raise MethodDisagreement(
                 f"block Phi_{d} has {count} common roots, not a multiple of"
                 f" ord_{d}(2) = {order} between 0 and phi({d}) = {phi}"
             )
-        counts[d] = count
     return counts
 
 
-def unit_orbit_zeros(bits, factors) -> int:
-    """The number of the 2^omega(d) H-orbits of primitive d-th roots of
-    unity at which S_d vanishes, S_d the union of the H-orbits of Z_d whose
-    entry in bits is 1 (numtheory.orbit_bits), d given by its (prime,
-    exponent) pairs.
+def orbit_block_counts(bits, factors) -> dict[int, int]:
+    """deg gcd(S mod Phi_d, Phi_d) for every d | n, S the union of the
+    H-orbits of Z_n whose entry in bits is 1 (numtheory.orbit_bits), n
+    given by its (prime, exponent) pairs (p_j, e_j).
 
-    S_d is H-invariant and 4 is in H, so S(z)^4 = S(z): every value lies in
+    S is H-invariant and 4 is in H, so S(z)^4 = S(z): every value lies in
     GF(4) = {0, 1, w, w^2}, held as the ints 0..3 with xor for addition.
-    Write z = prod of z_j, z_j a primitive p_j^l_j-th root of unity, and
-    c_j = chi_p_j of z's unit orbit. By CRT S(z) is the sum, over the
-    orbits (b_j) of S_d, of the products of T_j[b_j], the sum of z_j^x over
-    label b_j of numtheory.prime_power_labels(p_j, l_j):
+    The primitive d-th roots z = prod of z_j, z_j a primitive p_j^l_j-th
+    root, form 2^omega(d) H-orbits of phi(d) / 2^omega(d) roots, one per
+    signature (c_j), c_j = chi_p_j of z's unit. By CRT S(z) is the sum, over
+    the orbits (b_j) of S, of the products of T_j[b_j], the sum of z_j^x
+    over label b_j of numtheory.prime_power_labels(p_j, e_j):
 
     - T_j[0] = 1 (x = 0);
-    - label 1 + 2 v + a with v < l_j - 1 sums to 0: its x = p^v u fall into
-      the classes u = u_0 + p m of one residue u_0 mod p, and each class
-      sums z_j^(p^v u_0) times all the p^(l_j - v - 1)-th roots of unity;
+    - a label 1 + 2 v + a with v >= l_j has z_j^x = 1 at all of its
+      (p_j - 1)/2 * p_j^(e_j - v - 1) members, an odd multiple of
+      (p_j - 1)/2, so it sums to h_j = ((p_j - 1)/2) mod 2;
     - at v = l_j - 1 it is a Gauss period of p_j: eta_j xor a xor c_j, where
       eta_j is taken as 0 for p_j = +-1 (mod 8) (2 is a square, so it lies
       in GF(2)) and w otherwise. Another choice fixes z_j up to a nonsquare
-      power, which only permutes the orbits, so the count does not change.
+      power, which only permutes the signatures, so no count changes;
+    - v < l_j - 1 sums to 0: its x = p^v u fall into the classes
+      u = u_0 + p m of one residue u_0 mod p, and each class sums
+      z_j^(p^v u_0) times all the p^(l_j - v - 1)-th roots of unity.
 
     One pass per prime, the last (the fastest index of bits) first, maps
-    each group of 2 l_j + 1 entries to its values at c_j = 0 and then at
-    c_j = 1, so the next prime's labels stay contiguous.
+    each group of 2 e_j + 1 entries, for each l_j in 0..e_j, to its value
+    (l_j = 0) or its values at c_j = 0, then c_j = 1, so the next prime's
+    labels stay contiguous. Partial results are keyed by (d so far,
+    unit-orbit size so far): each choice of the earlier exponents shares
+    the passes made, and a block's count is its zeros times that size.
     """
     mul = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
-    values = bits
-    for p, l in reversed(factors):
-        eta = 0 if p % 8 in (1, 7) else 2
-        k = 2 * l + 1
-        out = []
-        for c in (0, 1):
-            top0, top1 = mul[eta ^ c], mul[eta ^ c ^ 1]
-            out += [
-                values[i] ^ top0[values[i + k - 2]] ^ top1[values[i + k - 1]]
-                for i in range(0, len(values), k)
-            ]
-        values = out
-    return values.count(0)
+    partial = {(1, 1): bits}
+    for p, e in reversed(factors):
+        eta, h, k = (0 if p % 8 in (1, 7) else 2), (p - 1) // 2 % 2, 2 * e + 1
+        step = {}
+        for (d, size), values in partial.items():
+            cols = [values[i::k] for i in range(k)]
+            high = [0] * len(cols[0])
+            for l in range(e, 0, -1):
+                low, top = cols[2 * l - 1], cols[2 * l]
+                out = []
+                for c in (0, 1):
+                    t0, t1 = mul[eta ^ c], mul[eta ^ c ^ 1]
+                    out += [x ^ t0[a] ^ t1[b] ^ y for x, a, b, y in zip(cols[0], low, top, high)]
+                step[d * p**l, size * p ** (l - 1) * (p - 1) // 2] = out
+                if h:
+                    high = [y ^ a ^ b for y, a, b in zip(high, low, top)]
+            step[d, size] = [x ^ y for x, y in zip(cols[0], high)]
+        partial = step
+    return {d: values.count(0) * size for (d, size), values in partial.items()}
 
 
 class Spectrum:

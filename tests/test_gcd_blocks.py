@@ -7,11 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dhseq import gf2poly, lincomp
+from dhseq import gf2poly, lincomp, numtheory
 from dhseq.cli import main
 from dhseq.cyclotomy import VectorAssignment
 from dhseq.errors import MethodDisagreement
-from dhseq.lincomp import block_zero_counts, lincomp_bm, lincomp_gcd, unit_orbit_zeros
+from dhseq.lincomp import block_zero_counts, lincomp_bm, lincomp_gcd, orbit_block_counts
 from dhseq.numtheory import (
     crt_combine,
     divisor_blocks,
@@ -196,23 +196,23 @@ def omega(d):
 
 def orbit_kernel(s, d):
     """K(d), the H-orbits of d-th roots of unity where S_d = s vanishes:
-    unit_orbit_zeros summed over the folds S_e, e | d, whose unit orbits
-    are the orbits of order e; None when S_d is no union of H-orbits."""
-    total = 0
-    for e in divisors(factorize(d)):
-        bits = orbit_bits(gf2poly.fold(s, e), factorize(e))
-        if bits is None:
-            return None
-        total += unit_orbit_zeros(bits, factorize(e))
-    return total
+    the zeros at the unit orbits of every block e | d, read off one
+    orbit_block_counts call on S_d; None when S_d is no union of H-orbits."""
+    bits = orbit_bits(s, factorize(d))
+    if bits is None:
+        return None
+    counts = orbit_block_counts(bits, factorize(d))
+    return sum((counts[e] << omega(e)) // phi(e) for e in counts)
 
 
 def assert_unit_orbits_match_euclid(packed, n):
+    # each block d read off the orbit bits of its own fold S_d, where it is
+    # the top block: no label reaches valuation l_j, so h_p never enters
     counts = block_counts_euclid(packed, n)
     for d, count in counts.items():
         factors = factorize(d)
-        zeros = unit_orbit_zeros(orbit_bits(gf2poly.fold(packed, d), factors), factors)
-        assert zeros * phi(d) >> omega(d) == count, (n, d)
+        bits = orbit_bits(gf2poly.fold(packed, d), factors)
+        assert orbit_block_counts(bits, factors)[d] == count, (n, d)
 
 
 def odd_sum_assignment(m, rng):
@@ -234,6 +234,24 @@ def test_orbit_kernel_matches_euclid_blocks_to_2000():
             odd_sum_assignment(m, rng),
         ):
             assert_unit_orbits_match_euclid(generate(m, a).packed, m.n)
+
+
+def test_orbit_block_counts_match_euclid_to_2000():
+    # every block of every generated period read off its n-level orbit
+    # bits in one call: the labels of valuation l_j and above add h_p
+    cases = 0
+    for m in valid_moduli(2000):
+        rng = random.Random(m.n)
+        for a in (
+            VectorAssignment.default(m),
+            VectorAssignment.all_ones_top(m),
+            odd_sum_assignment(m, rng),
+        ):
+            packed = generate(m, a).packed
+            counts = orbit_block_counts(orbit_bits(packed, m.factors), m.factors)
+            assert counts == block_counts_euclid(packed, m.n), (m.n, a.vectors)
+            cases += 1
+    assert cases == 2178
 
 
 MULTI_PRIME = [n for n in range(15, 600, 2) if omega(n) >= 2]
@@ -265,7 +283,8 @@ def spy(monkeypatch, module, name):
 
 
 def orbit_blocks(calls):
-    """The block d of each recorded unit_orbit_zeros call, from its factors."""
+    """The n of each recorded orbit_block_counts or orbit_bits call, from
+    its factors (the second argument of both)."""
     return [math.prod(p**l for p, l in args[1]) for args, _ in calls]
 
 
@@ -274,24 +293,26 @@ def reducible_blocks(n):
 
 
 # Of 131*317 only the top block is reducible: ord_41527(2) = 20540, and its
-# unit-orbit size 10270 is no multiple of it, so an off-by-one count breaks
-# the guard. Of 7^6 every block is (ord_7(2) = 3).
+# unit-orbit size 10270 is no multiple of it, so a count off by one unit
+# orbit breaks the guard. Of 7^6 every block is (ord_7(2) = 3).
 @pytest.mark.parametrize("factors", [[(131, 1), (317, 1)], [(7, 6)]])
 def test_flipped_and_rotated_periods_fall_back_to_euclid(factors, monkeypatch):
     m = validate_modulus(factors)
     n = m.n
     packed = generate(m, VectorAssignment.default(m)).packed
-    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
+    orbits = spy(monkeypatch, lincomp, "orbit_block_counts")
     euclid = spy(monkeypatch, gf2poly, "gcd")
     block_zero_counts(packed, n)
-    assert orbit_blocks(orbits) == reducible_blocks(n)
+    # one call at n counts every block, the reducible ones included
+    assert orbit_blocks(orbits) == [n]
+    assert set(reducible_blocks(n)) <= orbits[0][1].keys()
     assert euclid == []
     rotated = (packed << 5 | packed >> (n - 5)) & ((1 << n) - 1)
     for other in (packed ^ 2, rotated):
         orbits.clear()
         euclid.clear()
         assert block_zero_counts(other, n) == block_counts_euclid(other, n)
-        assert n not in orbit_blocks(orbits)
+        assert orbit_blocks(orbits) == []
         assert phi(n) in {gf2poly.degree(args[1]) for args, _ in euclid}
 
 
@@ -329,6 +350,78 @@ def test_generated_periods_to_3309_make_no_euclid_call(monkeypatch):
 T6 = [(3, 1), (5, 1), (7, 1), (11, 1), (23, 1), (47, 1)]
 
 
+# --- one route per period -----------------------------------------------------
+
+
+def route_calls(monkeypatch):
+    """Spies on the calls that tell the two routes of block_zero_counts apart."""
+    return {
+        name: spy(monkeypatch, module, name)
+        for module, name in (
+            (numtheory, "orbit_bits"),
+            (lincomp, "orbit_block_counts"),
+            (gf2poly, "fold"),
+            (gf2poly, "gcd"),
+        )
+    }
+
+
+@pytest.mark.parametrize(
+    "factors", [[(3, 1), (5, 1), (7, 1), (11, 1)], [(131, 1), (317, 1)], [(7, 6)], T6]
+)
+def test_a_union_period_reads_its_orbit_bits_once(factors, monkeypatch):
+    # Phi_n is reducible at each of these n: one orbit_bits call at n, and
+    # no fold and no Euclid at any block. Decimated by the unit 2 the
+    # default period stays a union of H-orbits, read like a generated one
+    m = validate_modulus(factors)
+    n = m.n
+    periods = [
+        generate(m, make(m)).packed
+        for make in (VectorAssignment.default, VectorAssignment.all_ones_top)
+    ]
+    s = format(periods[0], f"0{n}b")[::-1]
+    periods.append(int("".join(s[2 * i % n] for i in range(n))[::-1], 2))
+    calls = route_calls(monkeypatch)
+    for packed in periods:
+        for recorded in calls.values():
+            recorded.clear()
+        counts = block_zero_counts(packed, n)
+        assert orbit_blocks(calls["orbit_bits"]) == [n]
+        assert [out for _, out in calls["orbit_block_counts"]] == [counts]
+        assert calls["fold"] == [] and calls["gcd"] == []
+
+
+@pytest.mark.parametrize("e", [11, 13])
+def test_irreducible_prime_powers_keep_the_chunk_route(e, monkeypatch):
+    # 2 is primitive modulo 3^e, so every block is irreducible: the chunk
+    # tests serve generated and raw periods alike, with no orbit_bits call
+    m = validate_modulus([(3, e)])
+    n = m.n
+    packed = generate(m, VectorAssignment.default(m)).packed
+    rotated = (packed << 5 | packed >> (n - 5)) & ((1 << n) - 1)
+    calls = route_calls(monkeypatch)
+    for s in (packed, rotated):
+        counts = block_zero_counts(s, n)
+        assert calls["orbit_bits"] == [] and calls["gcd"] == []
+        assert sum(counts.values()) == delta(n)
+
+
+@pytest.mark.parametrize("factors", [[(3, 1), (5, 1), (7, 1), (11, 1)], [(131, 1), (317, 1)]])
+def test_a_raw_period_reads_orbit_bits_once_then_runs_euclid(factors, monkeypatch):
+    # rotated by 5, S is no union of H-orbits: the one read at n rejects it,
+    # and the blocks are folded and the reducible ones run Euclid
+    m = validate_modulus(factors)
+    n = m.n
+    packed = generate(m, VectorAssignment.default(m)).packed
+    rotated = (packed << 5 | packed >> (n - 5)) & ((1 << n) - 1)
+    want = block_counts_euclid(rotated, n)
+    calls = route_calls(monkeypatch)
+    assert block_zero_counts(rotated, n) == want
+    assert orbit_blocks(calls["orbit_bits"]) == [n]
+    assert calls["orbit_bits"][0][1] is None and calls["orbit_block_counts"] == []
+    assert phi(n) in {gf2poly.degree(args[1]) for args, _ in calls["gcd"]}
+
+
 @pytest.mark.parametrize(
     "factors",
     [
@@ -343,11 +436,11 @@ T6 = [(3, 1), (5, 1), (7, 1), (11, 1), (23, 1), (47, 1)]
 def test_large_top_blocks_make_no_euclid_call(factors, monkeypatch):
     m = validate_modulus(factors)
     euclid = spy(monkeypatch, gf2poly, "gcd")
-    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
+    orbits = spy(monkeypatch, lincomp, "orbit_block_counts")
     for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
         orbits.clear()
         counts_without_euclid(m, make, euclid)
-        assert orbit_blocks(orbits)[-1] == m.n
+        assert orbit_blocks(orbits) == [m.n]
 
 
 # L as a per-block Euclid gives it
@@ -363,13 +456,13 @@ def test_large_top_blocks_make_no_euclid_call(factors, monkeypatch):
 def test_every_large_reducible_block_takes_the_rank_route(
     factors, L_default, L_all_ones_top, monkeypatch
 ):
-    # every reducible block, of 4608 or more or not, takes the unit-orbit
-    # count, with no Euclid
+    # every reducible block, of 4608 or more or not, is counted on its unit
+    # orbits by the one orbit_block_counts call at n, with no Euclid
     m = validate_modulus(factors)
     reducible = reducible_blocks(m.n)
     assert [d for d in reducible if d >= 4608]
     euclid = spy(monkeypatch, gf2poly, "gcd")
-    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
+    orbits = spy(monkeypatch, lincomp, "orbit_block_counts")
     for make, L in (
         (VectorAssignment.default, L_default),
         (VectorAssignment.all_ones_top, L_all_ones_top),
@@ -377,26 +470,33 @@ def test_every_large_reducible_block_takes_the_rank_route(
         euclid.clear()
         orbits.clear()
         assert lincomp_gcd(generate(m, make(m))) == L
-        assert orbit_blocks(orbits) == reducible
+        assert orbit_blocks(orbits) == [m.n]
+        assert set(reducible) <= orbits[0][1].keys()
         assert euclid == []
 
 
 def _off_by_one_orbits(real):
-    def zeros(bits, factors):
-        return real(bits, factors) + 1
+    """real with one unit-orbit size, phi(n) / 2^omega(n), added to the
+    count of the top block n."""
 
-    return zeros
+    def counts(bits, factors):
+        out = real(bits, factors)
+        n = math.prod(p**e for p, e in factors)
+        out[n] += phi(n) >> len(factors)
+        return out
+
+    return counts
 
 
 def test_rank_route_leaves_no_cyclic_garbage(monkeypatch):
-    # the unit-orbit route builds d-bit label tiles for the union test; held
+    # the unit-orbit route builds n-bit label tiles for the union test; held
     # by a reference cycle they would wait for the next full collection,
-    # whether the count passes the guard or an off-by-one count trips it
+    # whether the counts pass the guard or an off-by-one count trips it
     import gc
 
     m = validate_modulus([(131, 1), (317, 1)])
     seq = generate(m, VectorAssignment.default(m))
-    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
+    orbits = spy(monkeypatch, lincomp, "orbit_block_counts")
     gc.collect()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -404,8 +504,8 @@ def test_rank_route_leaves_no_cyclic_garbage(monkeypatch):
         assert lincomp_gcd(seq) == lincomp_gcd_euclid(seq)
         gc.collect()
         cyclic = [type(o).__name__ for o in gc.garbage]
-        off_by_one = _off_by_one_orbits(lincomp.unit_orbit_zeros)
-        monkeypatch.setattr(lincomp, "unit_orbit_zeros", off_by_one)
+        off_by_one = _off_by_one_orbits(lincomp.orbit_block_counts)
+        monkeypatch.setattr(lincomp, "orbit_block_counts", off_by_one)
         with pytest.raises(MethodDisagreement, match="ord_41527"):
             lincomp_gcd(seq)
         gc.collect()
@@ -445,14 +545,16 @@ def test_divisor_blocks_take_the_order_of_two_by_lcm():
 
 
 def test_rank_count_off_the_order_of_two_raises(monkeypatch):
-    monkeypatch.setattr(lincomp, "unit_orbit_zeros", _off_by_one_orbits(lincomp.unit_orbit_zeros))
+    off_by_one = _off_by_one_orbits(lincomp.orbit_block_counts)
+    monkeypatch.setattr(lincomp, "orbit_block_counts", off_by_one)
     m = validate_modulus([(131, 1), (317, 1)])
     with pytest.raises(MethodDisagreement, match="ord_41527"):
         lincomp_gcd(generate(m, VectorAssignment.default(m)))
 
 
 def test_rank_count_guard_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(lincomp, "unit_orbit_zeros", _off_by_one_orbits(lincomp.unit_orbit_zeros))
+    off_by_one = _off_by_one_orbits(lincomp.orbit_block_counts)
+    monkeypatch.setattr(lincomp, "orbit_block_counts", off_by_one)
     code = main(["lincomp", "--method", "gcd", "--factors", "131:1,317:1"])
     captured = capsys.readouterr()
     assert code == 3
@@ -481,11 +583,11 @@ def orbit_representative(m, labels):
 def test_one_bit_flips_leave_the_rank_route(factors, monkeypatch):
     # every orbit of two or more members, flipped once at the member
     # orbit_bits reads and once at another: S_n is then no union of
-    # H-orbits, and the top block's L comes from Euclid
+    # H-orbits, and the top block's L comes from Euclid, not orbit bits
     m = validate_modulus(factors)
     n = m.n
     packed = generate(m, VectorAssignment.default(m)).packed
-    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
+    orbits = spy(monkeypatch, lincomp, "orbit_block_counts")
     members = {}
     for x, k in enumerate(orbit_labels_by_index(m.factors)):
         members.setdefault(k, []).append(x)
@@ -500,7 +602,7 @@ def test_one_bit_flips_leave_the_rank_route(factors, monkeypatch):
             assert orbit_bits(flipped.packed, m.factors) is None, (n, orbit, x)
             orbits.clear()
             assert lincomp_gcd(flipped) == lincomp_gcd_euclid(flipped), (n, orbit, x)
-            assert n not in orbit_blocks(orbits), (n, orbit, x)
+            assert orbit_blocks(orbits) == [], (n, orbit, x)
 
 
 def all_or_none_blocks(n):
@@ -521,17 +623,17 @@ def test_one_bit_flip_in_an_all_or_none_block_falls_back_to_euclid(n, bit, monke
     packed = generate(m, VectorAssignment.default(m)).packed
     phi_43 = gf2poly.cyclotomic(43, [43])
     assert 43 in all_or_none_blocks(n) and orbit_bits(gf2poly.fold(packed, 43), [(43, 1)])
-    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
+    orbits = spy(monkeypatch, lincomp, "orbit_block_counts")
     euclid = spy(monkeypatch, gf2poly, "gcd")
     block_zero_counts(packed, n)
-    assert 43 in orbit_blocks(orbits)
+    assert orbit_blocks(orbits) == [n]
     assert phi_43 not in [args[1] for args, _ in euclid]
     flipped = packed ^ (1 << bit)
     assert orbit_bits(gf2poly.fold(flipped, 43), [(43, 1)]) is None
     orbits.clear()
     euclid.clear()
     counts = block_zero_counts(flipped, n)
-    assert 43 not in orbit_blocks(orbits)
+    assert orbit_blocks(orbits) == []
     assert phi_43 in [args[1] for args, _ in euclid]
     assert counts == block_counts_euclid(flipped, n)
 
@@ -558,7 +660,7 @@ def test_flipped_and_rotated_4643_falls_back_to_euclid(monkeypatch):
     n = m.n
     packed = generate(m, VectorAssignment.default(m)).packed
     rotated = (packed << 5 | packed >> (n - 5)) & ((1 << n) - 1)
-    orbits = spy(monkeypatch, lincomp, "unit_orbit_zeros")
+    orbits = spy(monkeypatch, lincomp, "orbit_block_counts")
     euclid = spy(monkeypatch, gf2poly, "gcd")
     for other in (packed ^ 2, rotated):
         orbits.clear()
