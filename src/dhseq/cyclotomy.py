@@ -1,14 +1,13 @@
 """Order-2 cyclotomic classes of each divisor and the vectors that pick them.
 
-Every class is decided by the per-prime quadratic characters chi_p, held as
-the bit tiles of numtheory.label_tiles: sequence.generate builds whole
-periods from them, and generalized_classes lists the classes of one
-divisor as explicit sorted residue tuples for the lemma checks.
+Every class is a union of H-orbits of Z_d, H the units that are squares
+modulo every prime of d, and numtheory.orbit_union lays out every such
+union: sequence.generate builds whole periods with it, and
+generalized_classes builds both classes of one divisor with it, as
+explicit sorted residue tuples for the lemma checks.
 """
 
 from __future__ import annotations
-
-import math
 
 from . import gf2poly, numtheory
 from .errors import AssignmentFormatError, MissingDivisorVector, ZeroVector
@@ -21,9 +20,9 @@ def generalized_classes(factors, a_d) -> tuple[tuple[int, ...], tuple[int, ...]]
     nonsquare indicators, dotted with a_d, is j.
 
     For odd p a unit is a square modulo p^e exactly when it is one modulo p,
-    so only the valuation-0 tiles of label_tiles(p, 1) are read: the units
-    of Z_d are the AND of their unions, and d1 is the units under the xor
-    of the nonsquare tiles of the primes a_d selects.
+    so the unit orbits are the label tuples of numtheory.prime_power_labels
+    with label 1 (square) or 2 (nonsquare) at every prime, and orbit_union
+    lays out each class from the bits of its unit orbits.
     """
     factors = tuple(factors)
     a_d = tuple(a_d)
@@ -31,15 +30,14 @@ def generalized_classes(factors, a_d) -> tuple[tuple[int, ...], tuple[int, ...]]
         raise ValueError("one vector coordinate per distinct prime required")
     if not any(a_d):
         raise ZeroVector(a_d)
-    d = math.prod(p**e for p, e in factors)
-    units, d1 = (1 << d) - 1, 0
-    for (p, _), a in zip(factors, a_d):
-        _, (squares, _), (nonsquares, _) = numtheory.label_tiles(p, 1)
-        units &= numtheory.repeat_bits(squares | nonsquares, p, d)
-        if a:
-            d1 ^= numtheory.repeat_bits(nonsquares, p, d)
-    d1 &= units
-    return tuple(gf2poly.exponents(units ^ d1)), tuple(gf2poly.exponents(d1))
+    # per label tuple, in orbit_union's order: 0 off the units, else 1 + its
+    # class; labels[b] maps that state through label b (2 flips where a = 1)
+    orbits = [1]
+    for (_, l), a in zip(factors, a_d):
+        labels = [(0, 0, 0), (0, 1, 2), (0, 1 + a, 2 - a)] + [(0, 0, 0)] * (2 * l - 2)
+        orbits = [label[c] for c in orbits for label in labels]
+    d0, d1 = (numtheory.orbit_union(factors, [c == j for c in orbits]) for j in (1, 2))
+    return tuple(gf2poly.exponents(d0)), tuple(gf2poly.exponents(d1))
 
 
 def _unit_last(m: int) -> tuple[int, ...]:

@@ -201,7 +201,7 @@ def spectrum(exps, field: BinaryField) -> Spectrum:
     if cover is None:
         if field.n > MAX_FULL_SWEEP:
             raise DHSeqError(
-                f"the period is not a union of H-orbits, and a full spectral sweep"
+                f"the exponent set is not a union of H-orbits, and a full spectral sweep"
                 f" at n={field.n} is refused above n={MAX_FULL_SWEEP}"
             )
         reps = range(field.n)

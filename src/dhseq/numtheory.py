@@ -320,46 +320,38 @@ def orbit_union(factors, bits) -> int:
     """The d-bit union of the H-orbits of Z_d, d = prod p_j^l_j, whose bit
     is 1: orbit (b_j), b_j a label of prime_power_labels(p_j, l_j), has bit
     bits[sum of b_j * stride_j], stride_j = prod of 2 l_i + 1 over i > j.
-    By CRT an orbit is the AND of its labels' tiles (label_tiles)."""
-    if not factors:
-        return bits[0]
-    # per prime p_j: the width below it and, by valuation v, the width at
-    # which the labels of v join (label 0 with the last), with their tiles
-    levels, below, stride = [], 1, len(bits)
+
+    By CRT an orbit is the AND of its labels' tiles (label_tiles). A pass
+    per prime, the first prime first, replaces each 2 l + 1 patterns over
+    Z_below that differ only in the label b of p by their union over
+    Z_(below p^l): each nonzero pattern (in the first pass, an orbit bit)
+    repeated and ANDed with the tile of b. Labels join by increasing
+    valuation v at the width below p^(v+1) of their tiles (label 0 with the
+    last), so only the top step of the last, largest prime works at d bits.
+    """
+    parts, below = bits, 1
     for p, l in factors:
-        stride //= 2 * l + 1
         tiles = label_tiles(p, l)
+        stride = len(parts) // (2 * l + 1)
+        # by valuation: the join width and each label's offset and tile
         steps, width = [], below
         for v in range(l):
             width *= p
-            labels = [(b * stride, repeat_bits(*tiles[b], width)) for b in (2 * v + 1, 2 * v + 2)]
-            steps.append((width, labels))
-        steps[-1][1].append((0, repeat_bits(*tiles[0], width)))
-        levels.append((below, steps))
-        below = width
-    return _union_bits(levels, bits, len(factors) - 1, 0)
-
-
-def _union_bits(levels, bits, j: int, k: int) -> int:
-    """The union over Z_W, W = p_0^l_0 ... p_j^l_j, with the labels above
-    p_j fixed, k the sum of their offsets in bits: each label of p_j adds
-    its child (at j = 0 the orbit's bit) repeated and ANDed with its tile.
-    Labels join by increasing valuation v, the sum widened to the period
-    below * p_j^(v+1) of their tiles, so only the root works at d bits."""
-    below, steps = levels[j]
-    acc, w = 0, below
-    for width, labels in steps:
-        if acc:
-            acc = repeat_bits(acc, w, width)
-        w = width
-        for offset, tile in labels:
-            if j:
-                child = _union_bits(levels, bits, j - 1, k + offset)
-                if child:
-                    acc |= repeat_bits(child, below, width) & tile
-            elif bits[k + offset]:
-                acc |= tile
-    return acc
+            labels = (2 * v + 1, 2 * v + 2) + ((0,) if v == l - 1 else ())
+            steps.append((width, [(b * stride, repeat_bits(*tiles[b], width)) for b in labels]))
+        unions = []
+        for r in range(stride):
+            acc, w = 0, below
+            for width, labels in steps:
+                if acc:
+                    acc = repeat_bits(acc, w, width)
+                w = width
+                for offset, tile in labels:
+                    if child := parts[r + offset]:
+                        acc |= repeat_bits(child, below, width) & tile if below > 1 else tile
+            unions.append(acc)
+        parts, below = unions, width
+    return parts[0]
 
 
 def orbit_bits(s: int, factors) -> list[int] | None:

@@ -696,7 +696,7 @@ def test_lincomp_spectral_refuses_the_full_sweep_of_a_large_raw_period(tmp_path,
     f = _random_period(tmp_path, 8191, seed=11)
     code, out, err = run(capsys, "lincomp", "--sequence", str(f), "--method", "spectral")
     assert code == 2 and out == ""
-    assert err.startswith("error: the period is not a union of H-orbits")
+    assert err.startswith("error: the exponent set is not a union of H-orbits")
 
 
 @pytest.mark.parametrize(

@@ -427,3 +427,25 @@ def test_orbit_union_matches_an_index_oracle_to_2000():
             s = numtheory.orbit_union(m.factors, bits)
             assert s == orbit_union_by_index(m.factors, bits), (m.n, bits)
             assert numtheory.orbit_bits(s, m.factors) == bits, (m.n, bits)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ((3, 7),),
+        ((3, 3), (5, 2), (23, 1)),
+        ((3, 1), (7, 1), (43, 2)),
+        ((7, 2), (11, 2)),
+        ((5, 3), (7, 2)),
+    ],
+)
+def test_orbit_union_matches_an_index_oracle_with_squared_primes(factors):
+    # above 2000, with a prime of exponent >= 2 first, in the middle and
+    # last; orbit_union needs no totient rule, so 3*7*43^2 serves too
+    rng = random.Random(math.prod(p**l for p, l in factors))
+    k = math.prod(2 * l + 1 for _, l in factors)
+    seeded = [[rng.randrange(2) for _ in range(k)] for _ in range(3)]
+    for bits in ([0] * k, [1] * k, *seeded):
+        s = numtheory.orbit_union(factors, bits)
+        assert s == orbit_union_by_index(factors, bits), (factors, bits)
+        assert numtheory.orbit_bits(s, factors) == bits, (factors, bits)

@@ -208,7 +208,7 @@ def test_generate_matches_index_oracle_large(factors, make):
 
 # beyond generate_by_index: labels of valuation up to 12 (3^13) and 5 (7^6),
 # a Wieferich square, a squared prime under a large one, n near 10^6 and
-# t = 6, where the trie has 729 leaves
+# t = 6, with 729 H-orbits
 @pytest.mark.parametrize(
     "make", [VectorAssignment.default, VectorAssignment.all_ones_top, _random_odd_sum]
 )
