@@ -1,11 +1,10 @@
 """Elementary number theory underpinning the sequence construction.
 
 Everything here is deterministic and pure: factorization is plain trial
-division (periods arrive factored and below MAX_PERIOD; only their primes,
-totients and survey periods get factored here: a survey factors each odd
-n up to its bound and keeps those that pass the totient rule), primality
-is a factorization, exact for every n, and primitive roots are always the
-smallest positive ones.
+division below MAX_PERIOD (lincomp.block_zero_counts, gf2poly.build_field,
+order_of_two and h_orbits factor the n of every period; a survey, each odd
+n up to its bound), primality is a factorization, exact for every n, and
+primitive roots are always the smallest positive ones.
 """
 
 from __future__ import annotations
@@ -31,23 +30,15 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     out: list[tuple[int, int]] = []
-    for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    f = 5
+    f = 2
     while f * f <= n:
-        for p in (f, f + 2):
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
-        f += 6
+        if n % f == 0:
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            out.append((f, e))
+        f += 1 if f == 2 else 2
     if n > 1:
         out.append((n, 1))
     return out

@@ -40,8 +40,8 @@ class CheckVerdict(NamedTuple):
 
 class CheckRun:
     """What the checks of one run share: the class pair (d0, d1) of each
-    divisor d > 1 under the assignment, the spectrum of each class lifted
-    to Z_n by n/d, and the generated period with its complexity by the gcd
+    divisor d > 1 as two sets of Z_d, the spectrum of each class lifted to
+    Z_n by n/d, and the generated period with its complexity by the gcd
     route, each built on its first read and kept for the run."""
 
     def __init__(self, modulus: Modulus, assignment: VectorAssignment, field: BinaryField | None):
@@ -50,19 +50,19 @@ class CheckRun:
         self.modulus, self.assignment, self.field = modulus, assignment, field
         self._classes, self._spectra, self._measured = {}, {}, None
 
-    def classes(self, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def classes(self, d: int) -> tuple[frozenset[int], frozenset[int]]:
+        """The classes D_0, D_1 of d under the assignment, residues of Z_d."""
         if d not in self._classes:
-            self._classes[d] = cyclotomy.generalized_classes(
+            self._classes[d] = tuple(map(frozenset, cyclotomy.generalized_classes(
                 self.modulus.divisor_factorization(d), self.assignment.vector_for(d)
-            )
+            )))
         return self._classes[d]
 
     def spectrum(self, d: int, j: int) -> lincomp.Spectrum:
-        """The spectrum of {(n/d) x mod n : x in class j of d}."""
+        """The spectrum of {(n/d) x : x in class j of d}, in Z_n as x < d."""
         if (d, j) not in self._spectra:
-            n = self.modulus.n
-            lifted = [n // d * x % n for x in self.classes(d)[j]]
-            self._spectra[d, j] = lincomp.spectrum(lifted, self.field)
+            k = self.modulus.n // d
+            self._spectra[d, j] = lincomp.spectrum([k * x for x in self.classes(d)[j]], self.field)
         return self._spectra[d, j]
 
     def measured(self) -> tuple[Period, int]:
@@ -81,9 +81,7 @@ def check_lemma1(run: CheckRun, d: int) -> CheckVerdict:
         return CheckVerdict(name, False, None, "even coordinate sum")
     d0, d1 = run.classes(d)
     g = numtheory.combined_root(run.modulus) % d
-    swapped0 = {g * x % d for x in d0}
-    swapped1 = {g * x % d for x in d1}
-    if swapped0 == set(d1) and swapped1 == set(d0):
+    if {g * x % d for x in d0} == d1 and {g * x % d for x in d1} == d0:
         return CheckVerdict(name, True, True)
     return CheckVerdict(name, True, False, f"g={g} does not swap the classes of {d}")
 
@@ -92,19 +90,17 @@ def check_lemma2(run: CheckRun, d: int) -> CheckVerdict:
     """Scaled-class evaluations must match under the root-for-argument swap:
     the lifted d1 sum at alpha^(vg) equals the lifted d0 sum at alpha^v.
 
-    Without a field only the underlying set identity is checked."""
+    The set form g D_1 = D_0, alone without a field, is checked in Z_d:
+    y -> (n/d)y embeds Z_d in Z_n and commutes with multiplication by g."""
     name = f"lemma2(d={d})"
     if sum(run.assignment.vector_for(d)) % 2 == 0:
         return CheckVerdict(name, False, None, "even coordinate sum")
     d0, d1 = run.classes(d)
-    n = run.modulus.n
-    k = n // d
     g = numtheory.combined_root(run.modulus)
-    lifted0 = {k * x % n for x in d0}
-    lifted1 = {k * x % n for x in d1}
-    if {g * x % n for x in lifted1} != lifted0:
+    if {g * x % d for x in d1} != d0:
         return CheckVerdict(name, True, False, f"set form fails for d={d}")
     if run.field is not None:
+        n = run.modulus.n
         s0, s1 = run.spectrum(d, 0), run.spectrum(d, 1)
         for v in lincomp.common_reps(s0, s1)[1:]:
             if s1[v * g % n] != s0[v]:

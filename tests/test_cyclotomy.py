@@ -244,6 +244,12 @@ def test_assignment_overrides_and_errors():
         VectorAssignment.from_overrides(m, {21: (1,)})
 
 
+def test_assignment_rejects_a_coordinate_that_is_no_bit():
+    m = validate_modulus([(3, 1), (7, 1)])
+    with pytest.raises(ValueError, match="^vector for 21 must contain only bits$"):
+        VectorAssignment(m, {21: (2, 1)})
+
+
 def test_assignment_parse_spec():
     m = validate_modulus([(3, 1), (7, 1)])
     a = VectorAssignment.parse_spec(m, "21:11\n\n3:1\n")

@@ -177,6 +177,12 @@ def test_smallest_irreducible_examples():
             assert not brute_irreducible(c)
 
 
+def test_smallest_irreducible_at_degree_one_and_below():
+    assert smallest_irreducible(1) == 2
+    with pytest.raises(ValueError, match="^degree must be positive$"):
+        smallest_irreducible(0)
+
+
 def test_smallest_irreducible_walk_is_bounded(monkeypatch):
     # the longest real walk (m = 256) resolves well inside the bound
     f = smallest_irreducible(256)

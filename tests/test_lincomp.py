@@ -1,3 +1,5 @@
+import pytest
+
 from dhseq.cyclotomy import VectorAssignment
 from dhseq.gf2poly import berlekamp_massey, build_field
 from dhseq.lincomp import (
@@ -84,6 +86,11 @@ def test_spectral_values_match_horner():
     values = spectral_values(seq, field)
     for v in range(21):
         assert values[v] == eval_poly(poly, alpha_power(field, v), field)
+
+
+def test_spectral_values_rejects_a_field_for_another_n():
+    with pytest.raises(ValueError, match="^field is for n=15, sequence has n=21$"):
+        spectral_values(seq_for([(3, 1), (7, 1)]), build_field(15))
 
 
 def test_frobenius_closure_of_zero_set():

@@ -81,6 +81,11 @@ def test_factorize_recombines():
         assert all(brute_is_prime(p) for p, _ in facs)
 
 
+def test_factorize_rejects_a_nonpositive_n():
+    with pytest.raises(ValueError, match="^factorize expects a positive integer$"):
+        factorize(0)
+
+
 def test_validate_modulus_accepts_21():
     m = validate_modulus([(3, 1), (7, 1)])
     assert m.n == 21
@@ -156,6 +161,16 @@ def test_primitive_root_rejects_nonprime():
         primitive_root(9)
     with pytest.raises(NotPrime):
         primitive_root(2)
+
+
+def test_primitive_root_rejects_an_exponent_below_one():
+    with pytest.raises(ValueError, match="^exponent must be >= 1$"):
+        primitive_root(7, 0)
+
+
+def test_h_orbits_rejects_an_even_n():
+    with pytest.raises(ValueError, match="^H-orbits need an odd n >= 1, got 4$"):
+        numtheory.h_orbits(4)
 
 
 def test_crt_combine_examples():

@@ -229,6 +229,25 @@ def test_checks_match_sweeps_every_field_modulus(moduli, assignments):
                 assert check_lemma3(run, d) == lemma3_sweep(m, a, d, field)
 
 
+def seeded_odd_sum_vectors(m):
+    """One assignment of random vectors with odd coordinate sum on every divisor."""
+    rng = random.Random(m.n)
+    vectors = {}
+    for d in m.divisors_gt1():
+        bits = tuple(rng.randrange(2) for _ in range(len(m.divisor_factorization(d)) - 1))
+        vectors[d] = bits + (1 - sum(bits) % 2,)
+    return VectorAssignment(m, vectors)
+
+
+def test_lemma2_set_form_without_a_field_matches_the_lifted_sweep():
+    # the check compares classes in Z_d, the sweep their lifts to Z_n
+    for m in valid_moduli(1000):
+        for a in default_and_all_ones_top(m) + [seeded_odd_sum_vectors(m)]:
+            run = CheckRun(m, a, None)
+            for d in m.divisors_gt1():
+                assert check_lemma2(run, d) == lemma2_sweep(m, a, d), (m.n, d)
+
+
 def flipped(seq: Period, positions) -> Period:
     packed = seq.packed
     for i in positions:
@@ -326,14 +345,11 @@ def swap_all(d0, d1):
     return d1, d0
 
 
-@pytest.mark.parametrize("tamper", [swap_first, swap_all])
-@pytest.mark.parametrize("m", [M105, M33], ids=["105", "33"])
-def test_tampered_class_fails_lemma2_and_lemma3_like_the_sweep(monkeypatch, m, tamper):
-    # the package and the sweeps build their classes by different routes;
-    # both get the same tampered class of d = n
+def patch_classes(monkeypatch, target, tamper):
+    """The package and the sweeps build their classes by different routes;
+    both get the same tampered class of d = target."""
     real = cyclotomy.generalized_classes
     real_oracle = oracles.classes_by_root
-    target = m.n
 
     def tampered(factors, a_d):
         pair = real(factors, a_d)
@@ -348,6 +364,13 @@ def test_tampered_class_fails_lemma2_and_lemma3_like_the_sweep(monkeypatch, m, t
 
     monkeypatch.setattr(cyclotomy, "generalized_classes", tampered)
     monkeypatch.setattr(oracles, "classes_by_root", tampered_oracle)
+
+
+@pytest.mark.parametrize("tamper", [swap_first, swap_all])
+@pytest.mark.parametrize("m", [M105, M33], ids=["105", "33"])
+def test_tampered_class_fails_lemma2_and_lemma3_like_the_sweep(monkeypatch, m, tamper):
+    target = m.n
+    patch_classes(monkeypatch, target, tamper)
     field = build_field(m.n)
     a = VectorAssignment.default(m)
     run = CheckRun(m, a, field)
@@ -358,6 +381,15 @@ def test_tampered_class_fails_lemma2_and_lemma3_like_the_sweep(monkeypatch, m, t
     assert got2 == lemma2_sweep(m, a, target, field)
     if tamper is swap_first:
         assert got2.holds is False
+
+
+@pytest.mark.parametrize("m", [M105, M33], ids=["105", "33"])
+def test_tampered_class_fails_the_lemma2_set_form_without_a_field(monkeypatch, m):
+    patch_classes(monkeypatch, m.n, swap_first)
+    a = VectorAssignment.default(m)
+    got = check_lemma2(CheckRun(m, a, None), m.n)
+    assert got == lemma2_sweep(m, a, m.n)
+    assert got == (f"lemma2(d={m.n})", True, False, f"set form fails for d={m.n}")
 
 
 def test_tampered_class_above_the_sweep_bound_exits_2(monkeypatch, capsys):
