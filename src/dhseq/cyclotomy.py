@@ -1,13 +1,15 @@
 """Order-2 cyclotomic classes of each divisor and the vectors that pick them.
 
 Every class is a union of H-orbits of Z_d, H the units that are squares
-modulo every prime of d, and numtheory.orbit_union lays out every such
-union: sequence.generate builds whole periods with it, and
-generalized_classes builds both classes of one divisor with it, as
-explicit sorted residue tuples for the lemma checks.
+modulo every prime of d: numtheory.orbit_rule_bits decides each orbit's bit
+from one rule per block and numtheory.orbit_union lays the union out, for
+sequence.generate's whole periods and generalized_classes' class pairs,
+the latter as explicit sorted residue tuples for the lemma checks.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import gf2poly, numtheory
 from .errors import AssignmentFormatError, MissingDivisorVector, ZeroVector
@@ -20,9 +22,10 @@ def generalized_classes(factors, a_d) -> tuple[tuple[int, ...], tuple[int, ...]]
     nonsquare indicators, dotted with a_d, is j.
 
     For odd p a unit is a square modulo p^e exactly when it is one modulo p,
-    so the unit orbits are the label tuples of numtheory.prime_power_labels
-    with label 1 (square) or 2 (nonsquare) at every prime, and orbit_union
-    lays out each class from the bits of its unit orbits.
+    so the units are the block of d itself in numtheory.orbit_rule_bits,
+    the last rule, and a chi bit there is that indicator. Class j is that
+    block under the rule (a_d, 1 - j), every other block under (0, 0), and
+    orbit_union lays it out.
     """
     factors = tuple(factors)
     a_d = tuple(a_d)
@@ -30,14 +33,10 @@ def generalized_classes(factors, a_d) -> tuple[tuple[int, ...], tuple[int, ...]]
         raise ValueError("one vector coordinate per distinct prime required")
     if not any(a_d):
         raise ZeroVector(a_d)
-    # per label tuple, in orbit_union's order: 0 off the units, else 1 + its
-    # class; labels[b] maps that state through label b (2 flips where a = 1)
-    orbits = [1]
-    for (_, l), a in zip(factors, a_d):
-        labels = [(0, 0, 0), (0, 1, 2), (0, 1 + a, 2 - a)] + [(0, 0, 0)] * (2 * l - 2)
-        orbits = [label[c] for c in orbits for label in labels]
-    d0, d1 = (numtheory.orbit_union(factors, [c == j for c in orbits]) for j in (1, 2))
-    return tuple(gf2poly.exponents(d0)), tuple(gf2poly.exponents(d1))
+    others = [(0, 0)] * (math.prod(l + 1 for _, l in factors) - 1)
+    sel = sum(a << j for j, a in enumerate(a_d))
+    bits = [numtheory.orbit_rule_bits(factors, others + [(sel, flip)]) for flip in (1, 0)]
+    return tuple(tuple(gf2poly.exponents(numtheory.orbit_union(factors, b))) for b in bits)
 
 
 def _unit_last(m: int) -> tuple[int, ...]:

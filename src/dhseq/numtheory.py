@@ -345,6 +345,21 @@ def orbit_union(factors, bits) -> int:
     return parts[0]
 
 
+def orbit_rule_bits(factors, rules) -> list[int]:
+    """One bit per H-orbit of Z_m, m = prod p_j^e_j, in orbit_union's order,
+    from the rule (sel, flip) of each block of m in sequence.block_rules'
+    order: orbit (b_j), b_j = 0 or 1 + 2 v_j + c_j, lies in block l_j = e_j -
+    v_j (0 at b_j = 0), and has bit flip xor the parity of the c_j sel selects."""
+    # per orbit, built one prime at a time (the last prime's label fastest):
+    # its block's rule offset (sum of l_j * stride_j) and its chi bits
+    orbits, stride = [(0, 0)], len(rules)
+    for j, (p, e) in enumerate(factors):
+        stride //= e + 1
+        labels = [(0, 0)] + [((e - v) * stride, c << j) for v in range(e) for c in (0, 1)]
+        orbits = [(k + offset, chis | c) for k, chis in orbits for offset, c in labels]
+    return [rules[k][1] ^ ((chis & rules[k][0]).bit_count() & 1) for k, chis in orbits]
+
+
 def orbit_bits(s: int, factors) -> list[int] | None:
     """The bits with orbit_union(factors, bits) == s, read off s at one
     member per orbit, or None when s is no union of H-orbits of Z_d. The

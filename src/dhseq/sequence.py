@@ -3,8 +3,8 @@
 A period is one record, Period(packed, n): bit i of the int packed is s_i,
 and n is the length (zeros at the end of the period are high zero bits,
 which the int itself does not hold). generate and parse_bit_line both
-return one, so equal bits compare equal. generate reads each H-orbit's
-bit from block_rules and lays the orbits out with numtheory.orbit_union.
+return one, so equal bits compare equal. generate gives each H-orbit its
+bit from block_rules by numtheory.orbit_rule_bits, then numtheory.orbit_union.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .cyclotomy import VectorAssignment
 from .errors import PeriodTooLarge
-from .numtheory import MAX_PERIOD, Modulus, nonsquare_table, orbit_union
+from .numtheory import MAX_PERIOD, Modulus, nonsquare_table, orbit_rule_bits, orbit_union
 
 
 # a NamedTuple class body may not define __new__, so Period checks its
@@ -76,17 +76,9 @@ def generate(modulus: Modulus, assignment: VectorAssignment) -> Period:
     """Materialize one period. By block_rules, the bit of i depends only on
     the labels of i mod p_j^e_j (numtheory.prime_power_labels), its H-orbit:
     the valuations fix the block and the chi bits the class. So each orbit
-    gets one bit, and numtheory.orbit_union lays out those set to 1."""
-    rule = block_rules(modulus, assignment)
-    # per orbit, built one prime at a time (the last prime's label fastest):
-    # its block's rule offset (sum of l_j * stride_j) and its chi bits
-    orbits, stride = [(0, 0)], len(rule)
-    for j, (p, e) in enumerate(modulus.factors):
-        stride //= e + 1
-        labels = [(0, 0)] + [((e - v) * stride, c << j) for v in range(e) for c in (0, 1)]
-        orbits = [(k + offset, chis | c) for k, chis in orbits for offset, c in labels]
-    bits = [rule[k][1] ^ ((chis & rule[k][0]).bit_count() & 1) for k, chis in orbits]
-    return Period(orbit_union(modulus.factors, bits), modulus.n)
+    gets one bit (orbit_rule_bits), and orbit_union lays out those set to 1."""
+    f = modulus.factors
+    return Period(orbit_union(f, orbit_rule_bits(f, block_rules(modulus, assignment))), modulus.n)
 
 
 def sequence_line(seq: Period) -> str:

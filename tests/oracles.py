@@ -3,7 +3,8 @@
 These are the per-index and per-bit routes the package used before a period
 became one packed int, the n-byte buffer and d-byte class patterns that
 generate and generalized_classes built before they read the per-prime-power
-label tiles, the classes built from powers of a primitive root
+label tiles, the per-orbit class bits decoded from each orbit's labels,
+the classes built from powers of a primitive root
 (the package decides every class from the chi_p tables instead), the per-v
 spectral sweeps the checks used before they shared the orbit-reduced
 engine, that engine's per-representative sums from before it read the
@@ -530,6 +531,32 @@ def orbit_union_by_index(factors, bits) -> int:
     tuple of x."""
     labels = orbit_labels_by_index(tuple(factors))
     return int("".join(str(bits[k]) for k in reversed(labels)), 2)
+
+
+def orbit_rule_bits_by_labels(factors, rules) -> list[int]:
+    """numtheory.orbit_rule_bits orbit by orbit: each orbit index decoded
+    into its labels b_j (mixed radix, base 2 e_j + 1, the last prime's label
+    fastest), its block index sum of k_j * stride_j (stride_j the product of
+    e_i + 1 over i > j; k_j = 0 for label 0, else e_j - (b_j - 1) // 2),
+    its chi bits (b_j - 1) % 2 at bit j, and flip xor the parity of those
+    that sel selects."""
+    radices = [2 * e + 1 for _, e in factors]
+    strides = [math.prod(e + 1 for _, e in factors[j + 1 :]) for j in range(len(factors))]
+    out = []
+    for index in range(math.prod(radices)):
+        labels = []
+        for radix in reversed(radices):
+            index, b = divmod(index, radix)
+            labels.append(b)
+        labels.reverse()
+        k = chis = 0
+        for j, ((_, e), b) in enumerate(zip(factors, labels)):
+            if b:
+                k += (e - (b - 1) // 2) * strides[j]
+                chis |= (b - 1) % 2 << j
+        sel, flip = rules[k]
+        out.append(flip ^ bin(chis & sel).count("1") % 2)
+    return out
 
 
 # --- K(d) by the GF(2) rank of a d-bit matrix ---------------------------------

@@ -3,11 +3,11 @@ from itertools import product
 
 import pytest
 
-from dhseq import numtheory
+from dhseq import numtheory, sequence
 from dhseq.cyclotomy import VectorAssignment, generalized_classes
 from dhseq.errors import AssignmentFormatError, MissingDivisorVector, ZeroVector
 from dhseq.numtheory import crt_combine, validate_modulus
-from dhseq.sequence import generate
+from dhseq.sequence import block_rules, generate
 
 from conftest import valid_moduli
 from oracles import (
@@ -145,6 +145,55 @@ def test_generalized_classes_match_root_oracle_for_every_divisor_to_2000():
         pair = classes_by_root(facs, a)
         classes = generalized_classes(facs, a)
         assert classes == (pair.d0, pair.d1) == generalized_classes_by_pattern(facs, a), (facs, a)
+
+
+@pytest.mark.parametrize(
+    "factors, pairs",
+    [
+        (((3, 3), (5, 2), (23, 1)), 81),
+        (((5, 2), (7, 2)), 16),
+        (((7, 6),), 6),
+    ],
+)
+def test_generalized_classes_match_both_oracles_with_squared_primes(factors, pairs):
+    # every divisor and nonzero vector, above the sweeps to 2000 and 5000:
+    # 7^5, 7^6 and 3^3*5^2 among them
+    m = validate_modulus(factors)
+    cases = [
+        (facs, a)
+        for facs in map(m.divisor_factorization, m.divisors_gt1())
+        for a in product((0, 1), repeat=len(facs))
+        if any(a)
+    ]
+    assert len(cases) == pairs
+    for facs, a in cases:
+        pair = classes_by_root(facs, a)
+        classes = generalized_classes(facs, a)
+        assert classes == (pair.d0, pair.d1) == generalized_classes_by_pattern(facs, a), (facs, a)
+
+
+def test_generalized_classes_and_generate_make_their_rule_walks(monkeypatch):
+    # generate walks once under block_rules; generalized_classes walks twice,
+    # class 0 under flip 1 and class 1 under flip 0, with the vector's sel on
+    # d's own block, the last rule, and (0, 0) on every other block
+    calls = []
+    real = numtheory.orbit_rule_bits
+
+    def spy(factors, rules):
+        calls.append((tuple(factors), list(rules)))
+        return real(factors, rules)
+
+    monkeypatch.setattr(numtheory, "orbit_rule_bits", spy)
+    monkeypatch.setattr(sequence, "orbit_rule_bits", spy)
+    m = validate_modulus([(3, 2), (5, 1), (11, 1)])
+    a = VectorAssignment.parse_spec(m, "495:101\n45:11")
+    generate(m, a)
+    assert calls == [(m.factors, block_rules(m, a))]
+    calls.clear()
+    facs = ((3, 2), (11, 1))
+    generalized_classes(facs, (1, 1))
+    others = [(0, 0)] * 5
+    assert calls == [(facs, others + [(0b11, 1)]), (facs, others + [(0b11, 0)])]
 
 
 def test_generalized_classes_match_prime_power_classes_below_5000():

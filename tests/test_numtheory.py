@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dhseq import numtheory
+from dhseq.cyclotomy import VectorAssignment
 from dhseq.errors import DHSeqError, EvenOrRepeatedPrime, GcdConditionViolated, NotPrime
 from dhseq.numtheory import (
     Modulus,
@@ -19,6 +20,7 @@ from dhseq.numtheory import (
     primitive_root,
     validate_modulus,
 )
+from dhseq.sequence import block_rules
 
 from conftest import valid_moduli
 from oracles import (
@@ -26,6 +28,7 @@ from oracles import (
     is_prime_miller_rabin,
     legendre,
     multiplicative_order,
+    orbit_rule_bits_by_labels,
     orbit_union_by_index,
 )
 
@@ -464,3 +467,32 @@ def test_orbit_union_matches_an_index_oracle_with_squared_primes(factors):
         s = numtheory.orbit_union(factors, bits)
         assert s == orbit_union_by_index(factors, bits), (factors, bits)
         assert numtheory.orbit_bits(s, factors) == bits, (factors, bits)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ((3, 7),),
+        ((3, 3), (5, 2), (23, 1)),
+        ((3, 1), (7, 1), (43, 2)),
+        ((7, 2), (11, 2)),
+        ((5, 3), (7, 2)),
+        ((3, 1), (5, 1), (7, 1), (11, 1), (23, 1), (47, 1)),
+    ],
+)
+def test_orbit_rule_bits_match_a_label_oracle(factors):
+    # seeded rules on every block, any sel and flip, and the block_rules of
+    # both standard assignments where the shape is a valid modulus
+    rng = random.Random(math.prod(p**l for p, l in factors))
+    blocks = math.prod(l + 1 for _, l in factors)
+    cases = [[(rng.randrange(1 << len(factors)), rng.randrange(2)) for _ in range(blocks)]]
+    try:
+        m = validate_modulus(factors)
+    except GcdConditionViolated:
+        assert factors == ((3, 1), (7, 1), (43, 2))
+    else:
+        for make in (VectorAssignment.default, VectorAssignment.all_ones_top):
+            cases.append(block_rules(m, make(m)))
+    for rules in cases:
+        bits = numtheory.orbit_rule_bits(factors, rules)
+        assert bits == orbit_rule_bits_by_labels(factors, rules), (factors, rules)

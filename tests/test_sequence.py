@@ -287,8 +287,8 @@ def test_block_rules_follow_their_definition_to_2000():
 
 
 def test_block_rules_give_the_class_of_every_orbit_to_2000():
-    # the rule read at the labels of r as generate's per-orbit bit table
-    # reads it, not through generate, against the class of r's unit part in
+    # the rule read at the labels of r as numtheory.orbit_rule_bits reads
+    # it, not through generate, against the class of r's unit part in
     # its own block
     for m, a in _block_rule_cases(2000):
         rules = block_rules(m, a)

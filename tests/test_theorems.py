@@ -79,6 +79,27 @@ def test_lemma1_witness_when_the_root_does_not_swap(monkeypatch):
     assert v.witness == "g=1 does not swap the classes of 7"
 
 
+@pytest.mark.parametrize("with_field", [False, True])
+def test_lemma1_checks_both_images(monkeypatch, with_field):
+    # D_0 = (1,) and D_1 = (3,) at d = 7, g = 17 = 3 (mod 7): disjoint but
+    # not covering the units, so g D_0 = D_1 holds while g D_1 = {2} != D_0
+    from dhseq import cyclotomy
+
+    real = cyclotomy.generalized_classes
+
+    def patched(factors, a_d):
+        return ((1,), (3,)) if tuple(factors) == ((7, 1),) else real(factors, a_d)
+
+    monkeypatch.setattr(cyclotomy, "generalized_classes", patched)
+    field = build_field(21) if with_field else None
+    v = check_lemma1(default_run(M21, field), 7)
+    assert v.applicable and v.holds is False
+    assert v.witness == "g=3 does not swap the classes of 7"
+    v = check_lemma2(default_run(M21, field), 7)
+    assert v.applicable and v.holds is False
+    assert v.witness == "set form fails for d=7"
+
+
 def test_lemma2_witness_when_an_orbit_value_flips():
     a = VectorAssignment.default(M21)
     run = CheckRun(M21, a, build_field(21))
